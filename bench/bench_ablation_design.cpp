@@ -38,8 +38,7 @@ double best_score(const Setup& s, models::DiffusionModel& diffusion,
   clo::Rng rng(seed);
   double best = 1e300;
   double disc = 0.0;
-  for (int r = 0; r < restarts; ++r) {
-    const auto result = optimizer.run(rng);
+  for (const auto& result : optimizer.run_restarts(rng, restarts)) {
     const auto q = s.evaluator->evaluate(result.sequence);
     const double score =
         0.5 * (q.area_um2 - s.dataset->area_mean) / s.dataset->area_std +

@@ -20,12 +20,7 @@
 //    makes it the slowest baseline here, as in the paper.
 //
 //   ./bench_fig5_runtime [--circuits ctrl,router,c432] [--budget 60]
-//                        [--no-batch]
 //   Output: console table + fig5_runtime.csv
-//
-// --no-batch runs the per-restart optimizer fallback instead of the
-// batched lockstep path; both retrieve identical sequences, so comparing
-// the two runs isolates the batching speedup on the "Ours" column.
 //
 // Telemetry (shared harness flags): --metrics-out F streams clo.metrics.v1
 // JSONL while the bench runs (--metrics-interval-ms N), --metrics-port P
@@ -59,7 +54,6 @@ int main(int argc, char** argv) {
   scale.restarts = args.get_int("restarts", 8);
   scale.seed = static_cast<std::uint64_t>(args.get_int("seed", 2));
   scale.threads = args.get_int("threads", 0);
-  scale.batch = !args.has("no-batch");
   const bench::ObsOptions obs_opts = bench::obs_from_args(args);
 
   std::vector<std::string> names = {"ctrl", "router", "c432"};

@@ -7,7 +7,7 @@
 // The dataset and diffusion model are shared across surrogate variants
 // (they do not depend on the surrogate), exactly as a real study would.
 //
-//   ./bench_fig6_ablation [--circuit router] [--dataset 120] [--no-batch]
+//   ./bench_fig6_ablation [--circuit router] [--dataset 120]
 //   Output: console table + fig6_ablation.csv
 //
 // Telemetry (shared harness flags): --metrics-out F streams clo.metrics.v1
@@ -37,7 +37,6 @@ int main(int argc, char** argv) {
   const int diffusion_steps = args.get_int("steps", 60);
   const int restarts = args.get_int("restarts", 8);
   const std::uint64_t seed = static_cast<std::uint64_t>(args.get_int("seed", 3));
-  const bool batch = !args.has("no-batch");
   const bench::ObsOptions obs_opts = bench::obs_from_args(args);
   const std::size_t workers = util::resolve_threads(args.get_int("threads", 0));
   std::unique_ptr<util::ThreadPool> pool;
@@ -114,7 +113,7 @@ int main(int argc, char** argv) {
       clo::Rng orng(seed + 7);
       double best_area = 1e300, best_delay = 1e300, disc = 0.0;
       const auto results =
-          optimizer.run_restarts(orng, restarts, pool.get(), batch);
+          optimizer.run_restarts(orng, restarts, pool.get());
       for (int r = 0; r < restarts; ++r) {
         const auto& result = results[r];
         const auto q = evaluator.evaluate(result.sequence);

@@ -72,8 +72,8 @@ int main(int argc, char** argv) {
   double with_area_mean = 0.0, without_area_mean = 0.0;
   double with_disc_mean = 0.0, without_disc_mean = 0.0;
   for (int r = 0; r < runs; ++r) {
-    auto a = with_diff.run(orng);
-    auto b = without_diff.run(orng);
+    auto a = std::move(with_diff.run_restarts(orng, 1)[0]);
+    auto b = std::move(without_diff.run_restarts(orng, 1)[0]);
     const auto qa = evaluator.evaluate(a.sequence);
     const auto qb = evaluator.evaluate(b.sequence);
     with_area_mean += qa.area_um2 / runs;

@@ -124,10 +124,9 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  for (kernel::Target t : {kernel::Target::kAvx2, kernel::Target::kAvx512}) {
-    if (!kernel::target_compiled(t) || !kernel::target_supported(t)) continue;
-    if (!all_targets && only != kernel::target_name(t)) continue;
-    if (kernel::simd_enabled()) targets.push_back(t);
+  if (kernel::target_supported(kernel::Target::kAvx2) &&
+      (all_targets || only == "avx2") && kernel::simd_enabled()) {
+    targets.push_back(kernel::Target::kAvx2);
   }
   if (!all_targets && only != "scalar" && targets.size() == 1) {
     std::fprintf(stderr, "note: target %s not supported here; scalar only\n",

@@ -126,7 +126,7 @@ void BM_DenoiseStepWithGuidance(benchmark::State& state) {
   std::vector<float> x(cfg.seq_len * cfg.embed_dim);
   for (auto& v : x) v = static_cast<float>(rng.next_gaussian());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(model.predict_noise(x, 50));
+    benchmark::DoNotOptimize(model.predict_noise_batch({x}, 50));
   }
 }
 BENCHMARK(BM_DenoiseStepWithGuidance);

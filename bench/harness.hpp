@@ -42,7 +42,6 @@ struct ExperimentScale {
   std::string surrogate = "cnn";
   std::uint64_t seed = 1;
   int threads = 0;            ///< 0 = hardware concurrency, 1 = serial
-  bool batch = true;          ///< false = per-restart fallback (--no-batch)
 };
 
 /// Observability artifacts a bench was asked for on its command line.
@@ -220,7 +219,6 @@ inline core::PipelineConfig pipeline_config_for(const ExperimentScale& scale) {
   cfg.optimize.omega = scale.omega;
   cfg.seed = scale.seed;
   cfg.threads = scale.threads;
-  cfg.batch = scale.batch;
   return cfg;
 }
 
@@ -266,7 +264,7 @@ inline MethodResult run_ours(const aig::Aig& circuit,
                                         *pipeline.diffusion(),
                                         *pipeline.embedding(), params);
     const auto runs =
-        optimizer.run_restarts(rng, scale.restarts, pool.get(), scale.batch);
+        optimizer.run_restarts(rng, scale.restarts, pool.get());
     std::vector<core::Qor> qors(runs.size());
     util::parallel_for(pool.get(), runs.size(), [&](std::size_t r) {
       qors[r] = ev.evaluate(runs[r].sequence);  // validation, not counted

@@ -19,8 +19,8 @@ using nn::Tensor;
 namespace {
 
 /// Clip a gradient to L2 norm `max_norm` — keeps the guidance term
-/// well-scaled vs the noise term. Shared by the per-restart and batched
-/// objective paths (per restart, so batching cannot change the clip).
+/// well-scaled vs the noise term. Applied per restart, so batching cannot
+/// change the clip.
 void clip_gradient(std::vector<float>* grad, double max_norm) {
   double norm2 = 0.0;
   for (float g : *grad) norm2 += static_cast<double>(g) * g;
@@ -30,30 +30,6 @@ void clip_gradient(std::vector<float>* grad, double max_norm) {
     for (auto& g : *grad) g *= s;
   }
 }
-
-/// Clears ContinuousOptimizer::progress_ on scope exit so the borrowed
-/// stack reporter can never dangle, even when a restart throws.
-struct ProgressInstall {
-  obs::Progress** slot;
-  ProgressInstall(obs::Progress** s, obs::Progress* p) : slot(s) {
-    *slot = p;
-  }
-  ~ProgressInstall() { *slot = nullptr; }
-  ProgressInstall(const ProgressInstall&) = delete;
-  ProgressInstall& operator=(const ProgressInstall&) = delete;
-};
-
-/// Same discipline for the borrowed cancellation token.
-struct CancelInstall {
-  const util::CancelToken** slot;
-  CancelInstall(const util::CancelToken** s, const util::CancelToken* t)
-      : slot(s) {
-    *slot = t;
-  }
-  ~CancelInstall() { *slot = nullptr; }
-  CancelInstall(const CancelInstall&) = delete;
-  CancelInstall& operator=(const CancelInstall&) = delete;
-};
 
 /// The non-finite-latent guard: a NaN/Inf latent would silently decode to
 /// a garbage nearest-embedding sequence, so surface it as a failure the
@@ -66,38 +42,87 @@ void check_latent_finite(const std::vector<float>& x) {
   }
 }
 
+/// The noise stream of each of `count` runs: `rng` as it stands at the
+/// first of the run's `per_run` Gaussians. Runs own consecutive blocks of
+/// the stream, restart by restart (the Box-Muller cache carries across
+/// blocks), so each trajectory is a pure function of its block, and
+/// neither the pool size nor the lockstep chunking can change it. Only
+/// the block starts are kept, not the R * T * L * d draws themselves:
+/// each run redraws its block as it consumes it.
+std::vector<clo::Rng> noise_streams(clo::Rng& rng, int count,
+                                    std::size_t per_run) {
+  std::vector<clo::Rng> starts;
+  starts.reserve(static_cast<std::size_t>(std::max(count, 0)));
+  for (int r = 0; r < count; ++r) {
+    starts.push_back(rng);
+    for (std::size_t i = 0; i < per_run; ++i) rng.next_gaussian();
+  }
+  return starts;
+}
+
+/// One lockstep chunk per pool worker: chunk c covers restarts
+/// [lo(c), hi(c)). Chunk composition cannot change the numbers: no nn op
+/// mixes batch rows, so each restart's trajectory is the same in any
+/// chunking, from one chunk of every restart down to a batch of one.
+struct Chunking {
+  std::size_t count;
+  std::size_t chunks;
+  Chunking(util::ThreadPool* pool, int n)
+      : count(static_cast<std::size_t>(std::max(n, 0))),
+        chunks(std::min(pool != nullptr ? pool->size() : 1, count)) {}
+  std::size_t lo(std::size_t c) const { return c * count / chunks; }
+  std::size_t hi(std::size_t c) const { return lo(c + 1); }
+};
+
 }  // namespace
+
+/// What one run_restarts call holds for its duration. Restarts only read
+/// the model weights; freezing them keeps the backward passes in
+/// objective_and_grad_batch off the shared grad buffers (neither
+/// concurrently across workers nor cumulatively across lockstep steps).
+/// The progress reporter and the cancellation token are lent to the
+/// optimizer's slots, which are cleared again on scope exit so they can
+/// never dangle, even when a restart throws.
+struct ContinuousOptimizer::RestartScope {
+  ContinuousOptimizer& opt;
+  nn::GradFreeze freeze;
+  obs::Progress progress;
+
+  RestartScope(ContinuousOptimizer& o, int count,
+               const util::CancelToken* cancel)
+      : opt(o),
+        freeze(model_parameters(o)),
+        progress("optimize", denoise_steps(o, count)) {
+    opt.progress_ = &progress;
+    opt.cancel_ = cancel;
+  }
+  ~RestartScope() {
+    opt.progress_ = nullptr;
+    opt.cancel_ = nullptr;
+  }
+  RestartScope(const RestartScope&) = delete;
+  RestartScope& operator=(const RestartScope&) = delete;
+
+  static std::vector<Tensor> model_parameters(ContinuousOptimizer& opt) {
+    auto params = opt.surrogate_.parameters();
+    auto unet = opt.diffusion_.unet().parameters();
+    params.insert(params.end(), unet.begin(), unet.end());
+    return params;
+  }
+
+  static std::uint64_t denoise_steps(const ContinuousOptimizer& opt,
+                                     int count) {
+    const auto per_run =
+        static_cast<std::uint64_t>(opt.diffusion_.schedule().num_steps());
+    return per_run * static_cast<std::uint64_t>(std::max(count, 0));
+  }
+};
 
 ContinuousOptimizer::ContinuousOptimizer(
     models::SurrogateModel& surrogate, models::DiffusionModel& diffusion,
     const models::TransformEmbedding& embedding, OptimizeParams params)
     : surrogate_(surrogate), diffusion_(diffusion), embedding_(embedding),
       params_(params) {}
-
-double ContinuousOptimizer::objective_and_grad(const std::vector<float>& x,
-                                               std::vector<float>* grad) {
-  if (grad == nullptr) {
-    // Inference-only query: no autograd graph at all. (The old path built
-    // and retained the full graph just to read one scalar.)
-    nn::NoGradGuard no_grad;
-    Tensor input = Tensor::from_data({1, static_cast<int>(x.size())}, x);
-    auto out = surrogate_.forward(input);
-    Tensor objective =
-        nn::add(nn::scale(out.area, static_cast<float>(params_.weight_area)),
-                nn::scale(out.delay, static_cast<float>(params_.weight_delay)));
-    return objective.item();
-  }
-  Tensor input = Tensor::from_data(
-      {1, static_cast<int>(x.size())}, x, /*requires_grad=*/true);
-  auto out = surrogate_.forward(input);
-  Tensor objective =
-      nn::add(nn::scale(out.area, static_cast<float>(params_.weight_area)),
-              nn::scale(out.delay, static_cast<float>(params_.weight_delay)));
-  nn::backward(objective);
-  grad->assign(input.grad().begin(), input.grad().end());
-  clip_gradient(grad, params_.grad_clip);
-  return objective.item();
-}
 
 std::vector<double> ContinuousOptimizer::objective_and_grad_batch(
     const std::vector<std::vector<float>>& xs,
@@ -125,8 +150,7 @@ std::vector<double> ContinuousOptimizer::objective_and_grad_batch(
   Tensor input =
       Tensor::from_data({R, n}, std::move(stacked), /*requires_grad=*/true);
   auto out = surrogate_.forward(input);
-  // Per-row objective values with the same float arithmetic as the
-  // per-restart objective tensor (wa*area then + wd*delay).
+  // Per-row objective values: wa*area then + wd*delay, in float.
   std::vector<double> objs(R);
   for (int r = 0; r < R; ++r) {
     objs[r] = wa * out.area.data()[r] + wd * out.delay.data()[r];
@@ -157,109 +181,9 @@ std::size_t ContinuousOptimizer::noise_count() const {
   return elems * diffusion_.schedule().num_steps();
 }
 
-OptimizeResult ContinuousOptimizer::run(clo::Rng& rng) {
-  std::vector<float> noise(noise_count());
-  for (auto& v : noise) v = static_cast<float>(rng.next_gaussian());
-  return run_impl(noise);
-}
-
-OptimizeResult ContinuousOptimizer::run_impl(const std::vector<float>& noise) {
-  CLO_TRACE_SPAN("optimize.restart");
-  CLO_FAULT_POINT("optimizer.restart");
-  Stopwatch watch;
-  watch.start();
-  const auto& cfg = diffusion_.config();
-  const int L = cfg.seq_len, d = cfg.embed_dim;
-  const auto& sched = diffusion_.schedule();
-  const int T = sched.num_steps();
-
-  OptimizeResult result;
-  std::size_t cursor = 0;
-  std::vector<float> x(static_cast<std::size_t>(L) * d);
-  for (auto& v : x) v = noise[cursor++];
-  if (CLO_FAULT_FIRED("optimizer.latent_nan")) {
-    x[0] = std::numeric_limits<float>::quiet_NaN();
-  }
-
-  if (!params_.use_diffusion) {
-    // Eq. 14: gradient-only continuous optimization (ablation).
-    std::vector<float> grad;
-    for (int t = T - 1; t >= 0; --t) {
-      CLO_TRACE_SPAN("optimize.step");
-      CLO_OBS_COUNT("optimizer.denoise_steps", 1);
-      if (progress_ != nullptr) progress_->tick();
-      if (cancel_ != nullptr) cancel_->check();
-      const double obj = objective_and_grad(x, &grad);
-      for (std::size_t i = 0; i < x.size(); ++i) {
-        x[i] -= static_cast<float>(params_.ablation_step *
-                                   params_.omega) * grad[i];
-      }
-      // Record the final t == 0 point explicitly, mirroring the diffusion
-      // branch — Fig. 4 ablation traces must end at the converged latent.
-      if (t % std::max(1, T / 16) == 0 || t == 0) {
-        result.trace.push_back(
-            {t, embedding_.discrepancy(x, L), obj});
-      }
-    }
-  } else {
-    // Eq. 13: denoise + guided gradient at the reparameterized x̂_t.
-    std::vector<float> grad;
-    for (int t = T - 1; t >= 0; --t) {
-      CLO_TRACE_SPAN("optimize.step");
-      CLO_OBS_COUNT("optimizer.denoise_steps", 1);
-      if (progress_ != nullptr) progress_->tick();
-      if (cancel_ != nullptr) cancel_->check();
-      const auto eps = diffusion_.predict_noise(x, t);
-      const float ab = sched.alpha_bar(t);
-      const float sqrt_ab = std::sqrt(ab);
-      const float sqrt_1mab = std::sqrt(1.0f - ab);
-      // Eq. 12: noise-free reconstruction x̂_t.
-      std::vector<float> x_hat(x.size());
-      for (std::size_t i = 0; i < x.size(); ++i) {
-        x_hat[i] = (x[i] - sqrt_1mab * eps[i]) / sqrt_ab;
-      }
-      const double obj = objective_and_grad(x_hat, &grad);
-      // Guided noise: eps~ = eps + ω sqrt(1-ᾱ_t) ∇F̂(x̂_t) (Eq. 13 with the
-      // DDPM constants folded into η), then an x̂0-clipped posterior step —
-      // the clamp keeps denoiser error from compounding over the schedule.
-      const float c0 = sched.coef_x0(t);
-      const float ct = sched.coef_xt(t);
-      const double omega_t =
-          params_.guidance_ramp
-              ? params_.omega * (1.0 - static_cast<double>(t) / T)
-              : params_.omega;
-      const float guide = static_cast<float>(omega_t) * sqrt_1mab;
-      for (std::size_t i = 0; i < x.size(); ++i) {
-        const float eps_tilde = eps[i] + guide * grad[i];
-        float x0 = (x[i] - sqrt_1mab * eps_tilde) / sqrt_ab;
-        x0 = std::min(3.0f, std::max(-3.0f, x0));  // data coords lie in [-sqrt(d), sqrt(d)]
-        x[i] = c0 * x0 + ct * x[i];
-        if (t > 0) {
-          x[i] += sched.sigma(t) * noise[cursor++];
-        }
-      }
-      if (t % std::max(1, T / 16) == 0 || t == 0) {
-        result.trace.push_back({t, embedding_.discrepancy(x, L), obj});
-      }
-    }
-  }
-
-  check_latent_finite(x);
-  result.latent = x;
-  result.sequence = embedding_.retrieve(x, L);
-  result.discrepancy = embedding_.discrepancy(x, L);
-  result.predicted_objective = objective_and_grad(x, nullptr);
-  watch.stop();
-  result.seconds = watch.seconds();
-  CLO_OBS_OBSERVE("optimizer.discrepancy", result.discrepancy);
-  CLO_OBS_OBSERVE("optimizer.predicted_objective", result.predicted_objective);
-  CLO_OBS_OBSERVE("optimizer.restart_seconds", result.seconds);
-  return result;
-}
-
 void ContinuousOptimizer::run_impl_batch(
-    const std::vector<std::vector<float>>& noise, std::size_t begin,
-    std::size_t end, std::vector<OptimizeResult>* results) {
+    const std::vector<clo::Rng>& noise, std::size_t begin, std::size_t end,
+    std::vector<OptimizeResult>* results) {
   CLO_TRACE_SPAN("optimize.batch");
   Stopwatch watch;
   watch.start();
@@ -270,12 +194,11 @@ void ContinuousOptimizer::run_impl_batch(
   const std::size_t R = end - begin;
   const std::size_t elems = static_cast<std::size_t>(L) * d;
 
+  std::vector<clo::Rng> rng(noise.begin() + begin, noise.begin() + end);
   std::vector<std::vector<float>> x(R, std::vector<float>(elems));
-  std::vector<std::size_t> cursor(R, elems);
   for (std::size_t r = 0; r < R; ++r) {
     CLO_FAULT_POINT("optimizer.restart");
-    std::copy(noise[begin + r].begin(), noise[begin + r].begin() + elems,
-              x[r].begin());
+    for (auto& v : x[r]) v = static_cast<float>(rng[r].next_gaussian());
     if (CLO_FAULT_FIRED("optimizer.latent_nan")) {
       x[r][0] = std::numeric_limits<float>::quiet_NaN();
     }
@@ -307,8 +230,7 @@ void ContinuousOptimizer::run_impl_batch(
   } else {
     // Eq. 13 in lockstep: one [R, d, L] U-Net forward and one [R, L*d]
     // surrogate forward+backward per denoising step, shared by every
-    // restart — the per-step constants and per-restart update are
-    // identical to run_impl.
+    // restart.
     std::vector<std::vector<float>> x_hat(R, std::vector<float>(elems));
     for (int t = T - 1; t >= 0; --t) {
       CLO_TRACE_SPAN("optimize.step");
@@ -339,7 +261,8 @@ void ContinuousOptimizer::run_impl_batch(
           x0 = std::min(3.0f, std::max(-3.0f, x0));
           x[r][i] = c0 * x0 + ct * x[r][i];
           if (t > 0) {
-            x[r][i] += sched.sigma(t) * noise[begin + r][cursor[r]++];
+            x[r][i] +=
+                sched.sigma(t) * static_cast<float>(rng[r].next_gaussian());
           }
         }
       }
@@ -383,115 +306,44 @@ void ContinuousOptimizer::run_impl_batch(
 }
 
 std::vector<OptimizeResult> ContinuousOptimizer::run_restarts(
-    clo::Rng& rng, int count, util::ThreadPool* pool, bool batched,
+    clo::Rng& rng, int count, util::ThreadPool* pool,
     const util::CancelToken* cancel) {
-  // Pre-draw every Gaussian serially, restart by restart, in the exact
-  // order a sequential `run(rng)` loop would consume them (including the
-  // Box-Muller cache carried across restarts). The trajectories are then a
-  // pure function of the latent index, so both the parallel fan-out and
-  // the batched lockstep below match the historical sequential loop.
-  const std::size_t per_run = noise_count();
-  std::vector<std::vector<float>> noise(count);
-  for (int r = 0; r < count; ++r) {
-    noise[r].resize(per_run);
-    for (auto& v : noise[r]) v = static_cast<float>(rng.next_gaussian());
-  }
-  // Restarts only read the model weights; freeze them so the backward
-  // passes in objective_and_grad never touch shared grad buffers (neither
-  // concurrently across workers nor cumulatively across lockstep steps).
-  auto frozen_params = surrogate_.parameters();
-  {
-    auto dp = diffusion_.unet().parameters();
-    frozen_params.insert(frozen_params.end(), dp.begin(), dp.end());
-  }
-  nn::GradFreeze freeze(frozen_params);
-  obs::Progress progress(
-      "optimize", static_cast<std::uint64_t>(
-                      diffusion_.schedule().num_steps()) *
-                      static_cast<std::uint64_t>(count > 0 ? count : 0));
-  ProgressInstall install(&progress_, &progress);
-  CancelInstall cancel_install(&cancel_, cancel);
+  const auto noise = noise_streams(rng, count, noise_count());
+  RestartScope scope(*this, count, cancel);
+  const Chunking chunking(pool, count);
   std::vector<OptimizeResult> results(count);
-  if (batched) {
-    // One lockstep chunk per worker. Chunk composition cannot change the
-    // numbers: no nn op mixes batch rows, so each restart's trajectory is
-    // the same pure function of its pre-sampled noise in any chunking —
-    // including the single-chunk serial path.
-    const std::size_t workers = pool != nullptr ? pool->size() : 1;
-    const std::size_t chunks = std::max<std::size_t>(
-        1, std::min(workers, static_cast<std::size_t>(count)));
-    util::parallel_for(pool, chunks, [&](std::size_t c) {
-      const std::size_t lo = c * static_cast<std::size_t>(count) / chunks;
-      const std::size_t hi =
-          (c + 1) * static_cast<std::size_t>(count) / chunks;
-      if (lo < hi) run_impl_batch(noise, lo, hi, &results);
-    });
-  } else {
-    util::parallel_for(pool, static_cast<std::size_t>(count),
-                       [&](std::size_t r) { results[r] = run_impl(noise[r]); });
-  }
+  util::parallel_for(pool, chunking.chunks, [&](std::size_t c) {
+    run_impl_batch(noise, chunking.lo(c), chunking.hi(c), &results);
+  });
   return results;
 }
 
 std::vector<OptimizeResult> ContinuousOptimizer::run_restarts_tolerant(
-    clo::Rng& rng, int count, util::ThreadPool* pool, bool batched,
+    clo::Rng& rng, int count, util::ThreadPool* pool,
     std::vector<RestartFailure>* failures, const util::CancelToken* cancel) {
-  // Primary draws come first, in the exact run_restarts order, so the
-  // fault-free trajectories are bit-identical to run_restarts. The retry
-  // Rngs are forked only afterwards: they perturb the main stream's state
-  // but nothing pre-sampled, so they are invisible unless a retry happens.
-  const std::size_t per_run = noise_count();
-  std::vector<std::vector<float>> noise(count);
-  for (int r = 0; r < count; ++r) {
-    noise[r].resize(per_run);
-    for (auto& v : noise[r]) v = static_cast<float>(rng.next_gaussian());
-  }
+  // The primary noise blocks come first, in the exact run_restarts order,
+  // so the fault-free trajectories are bit-identical to run_restarts. The
+  // retry Rngs are forked only afterwards: they perturb the main stream's
+  // state past every block, so they are invisible unless a retry happens.
+  const auto noise = noise_streams(rng, count, noise_count());
   std::vector<clo::Rng> retry_rng;
   retry_rng.reserve(count);
   for (int r = 0; r < count; ++r) retry_rng.push_back(rng.fork());
 
-  auto frozen_params = surrogate_.parameters();
-  {
-    auto dp = diffusion_.unet().parameters();
-    frozen_params.insert(frozen_params.end(), dp.begin(), dp.end());
-  }
-  nn::GradFreeze freeze(frozen_params);
-  obs::Progress progress(
-      "optimize", static_cast<std::uint64_t>(
-                      diffusion_.schedule().num_steps()) *
-                      static_cast<std::uint64_t>(count > 0 ? count : 0));
-  ProgressInstall install(&progress_, &progress);
-  CancelInstall cancel_install(&cancel_, cancel);
-
+  RestartScope scope(*this, count, cancel);
+  const Chunking chunking(pool, count);
   std::vector<OptimizeResult> results(count);
   std::vector<char> pending(count, 0);
-
-  if (batched) {
-    const std::size_t workers = pool != nullptr ? pool->size() : 1;
-    const std::size_t chunks = std::max<std::size_t>(
-        1, std::min(workers, static_cast<std::size_t>(count)));
-    const auto chunk_errors =
-        util::parallel_for_collect(pool, chunks, [&](std::size_t c) {
-          const std::size_t lo = c * static_cast<std::size_t>(count) / chunks;
-          const std::size_t hi =
-              (c + 1) * static_cast<std::size_t>(count) / chunks;
-          if (lo < hi) run_impl_batch(noise, lo, hi, &results);
-        });
-    for (const auto& e : chunk_errors) {
-      // A chunk failure poisons every restart sharing the chunk; most are
-      // innocent and recover bit-identically in the per-restart pass below
-      // (run_impl matches run_impl_batch exactly on the same noise).
-      const std::size_t lo =
-          e.index * static_cast<std::size_t>(count) / chunks;
-      const std::size_t hi =
-          (e.index + 1) * static_cast<std::size_t>(count) / chunks;
-      for (std::size_t r = lo; r < hi; ++r) pending[r] = 1;
+  const auto chunk_errors =
+      util::parallel_for_collect(pool, chunking.chunks, [&](std::size_t c) {
+        run_impl_batch(noise, chunking.lo(c), chunking.hi(c), &results);
+      });
+  for (const auto& e : chunk_errors) {
+    // A chunk failure poisons every restart sharing the chunk; most are
+    // innocent and recover bit-identically in the batch-of-one pass below.
+    for (std::size_t r = chunking.lo(e.index); r < chunking.hi(e.index); ++r) {
+      pending[r] = 1;
     }
-  } else {
-    const auto errors = util::parallel_for_collect(
-        pool, static_cast<std::size_t>(count),
-        [&](std::size_t r) { results[r] = run_impl(noise[r]); });
-    for (const auto& e : errors) pending[e.index] = 1;
   }
 
   // Cancellation bypasses recovery entirely: the parallel pass above may
@@ -500,15 +352,15 @@ std::vector<OptimizeResult> ContinuousOptimizer::run_restarts_tolerant(
   // "result" that a caller could cache. Surface the cancellation instead.
   if (cancel != nullptr) cancel->check();
 
-  // Serial recovery: original noise first (recovers chunk neighbors and
-  // one-shot faults without changing any trajectory), then one fresh-noise
-  // retry from the restart's own pre-forked Rng (the escape hatch for a
-  // latent that deterministically goes non-finite). Still failing ->
-  // quarantine.
+  // Serial recovery, one restart at a time as a batch of one: original
+  // noise first (recovers chunk neighbors and one-shot faults without
+  // changing any trajectory), then one fresh-noise retry from the
+  // restart's own pre-forked Rng (the escape hatch for a latent that
+  // deterministically goes non-finite). Still failing -> quarantine.
   for (int r = 0; r < count; ++r) {
     if (!pending[r]) continue;
     try {
-      results[r] = run_impl(noise[r]);
+      run_impl_batch(noise, r, r + 1, &results);
       continue;
     } catch (const util::CancelledError&) {
       throw;  // never quarantine a cancellation
@@ -516,11 +368,9 @@ std::vector<OptimizeResult> ContinuousOptimizer::run_restarts_tolerant(
       // Fall through to the fresh-noise retry.
     }
     try {
-      std::vector<float> fresh(per_run);
-      for (auto& v : fresh) {
-        v = static_cast<float>(retry_rng[r].next_gaussian());
-      }
-      results[r] = run_impl(fresh);
+      std::vector<OptimizeResult> retried(1);
+      run_impl_batch({retry_rng[r]}, 0, 1, &retried);
+      results[r] = std::move(retried[0]);
       CLO_OBS_COUNT("optimizer.restart_retries", 1);
     } catch (const util::CancelledError&) {
       throw;  // never quarantine a cancellation

@@ -68,35 +68,28 @@ class ContinuousOptimizer {
                       const models::TransformEmbedding& embedding,
                       OptimizeParams params = {});
 
-  /// One full run of Algorithm 2 from a fresh Gaussian latent.
-  OptimizeResult run(clo::Rng& rng);
-
-  /// `count` independent runs (the paper samples several latents and keeps
-  /// the best after validation). All Gaussian draws are pre-sampled from
-  /// `rng` serially, in the exact order a sequential `run(rng)` loop would
-  /// consume them, before the compute fans out — so results are
-  /// bit-identical to the historical sequential loop AND for any `pool`
-  /// worker count, including the serial `pool == nullptr` path. Model
-  /// weights are grad-frozen for the duration (restarts only read them),
-  /// which makes the concurrent backward passes through the shared
-  /// surrogate race-free.
-  ///
-  /// With `batched` (the default), restarts advance in lockstep through the
-  /// schedule: one [chunk, d, L] U-Net forward and one [chunk, L*d]
-  /// surrogate forward+backward per denoising step, one contiguous chunk
-  /// per pool worker. No nn op mixes batch rows, so every restart's
-  /// trajectory stays the same pure function of its pre-sampled noise as
-  /// in the `batched == false` per-restart fan-out — both modes retrieve
-  /// identical sequences. `batched == false` keeps the historical
-  /// one-thread-per-restart path (the `--no-batch` fallback).
-  /// `cancel` (both overloads' trailing parameter) is polled once per
+  /// `count` independent runs of Algorithm 2 (the paper samples several
+  /// latents and keeps the best after validation). Each restart's Gaussian
+  /// draws are a fixed block of `rng`'s stream, blocks taken serially,
+  /// restart by restart, before the compute fans out. Restarts then
+  /// advance in lockstep through the schedule: one [chunk, d, L] U-Net
+  /// forward and one [chunk, L*d] surrogate forward+backward per denoising
+  /// step, one contiguous chunk per pool worker. No nn op mixes batch
+  /// rows, so every restart's trajectory is the same pure function of its
+  /// noise block in any chunking — results are bit-identical for any
+  /// `pool` worker count,
+  /// including the serial `pool == nullptr` path. Model weights are
+  /// grad-frozen for the duration (restarts only read them), which makes
+  /// the concurrent backward passes through the shared surrogate
+  /// race-free.
+  /// `cancel` (both drivers' trailing parameter) is polled once per
   /// denoising timestep; a fired token aborts every in-flight restart with
   /// util::CancelledError. Cancellation deliberately bypasses the tolerant
   /// driver's retry/quarantine machinery — a cancelled run must surface as
   /// an error, never as a quarantined-but-cacheable result.
   std::vector<OptimizeResult> run_restarts(
       clo::Rng& rng, int count, util::ThreadPool* pool = nullptr,
-      bool batched = true, const util::CancelToken* cancel = nullptr);
+      const util::CancelToken* cancel = nullptr);
 
   /// A restart that failed both its normal run and its fresh-noise retry,
   /// and was therefore quarantined (its result slot left default).
@@ -105,34 +98,29 @@ class ContinuousOptimizer {
     std::string message;
   };
 
-  /// Fault-tolerant run_restarts: identical pre-sampling, so when nothing
+  /// Fault-tolerant run_restarts: identical noise blocks, so when nothing
   /// fails the results are bit-identical to run_restarts for the same rng
   /// state. A restart that throws (injected fault, synthesis error, or the
-  /// non-finite-latent guard) is re-run serially on its original noise —
-  /// which also recovers the innocent neighbors of a failed lockstep chunk
-  /// without changing their trajectories — and, if it fails again, retried
-  /// once on fresh noise drawn from an Rng pre-forked for that restart
-  /// (forked after the primary draws, so fault-free trajectories are
-  /// unaffected). Restarts that still fail are quarantined: their slot in
-  /// the returned vector stays default-constructed (empty sequence) and an
-  /// entry is appended to `failures`. Survivors keep the exact sequences
-  /// they would have produced with no failures present.
+  /// non-finite-latent guard) is re-run serially as a batch of one on its
+  /// original noise — which also recovers the innocent neighbors of a
+  /// failed lockstep chunk without changing their trajectories — and, if
+  /// it fails again, retried once on fresh noise drawn from an Rng
+  /// pre-forked for that restart (forked after the primary draws, so
+  /// fault-free trajectories are unaffected). Restarts that still fail are
+  /// quarantined: their slot in the returned vector stays
+  /// default-constructed (empty sequence) and an entry is appended to
+  /// `failures`. Survivors keep the exact sequences they would have
+  /// produced with no failures present.
   std::vector<OptimizeResult> run_restarts_tolerant(
       clo::Rng& rng, int count, util::ThreadPool* pool = nullptr,
-      bool batched = true, std::vector<RestartFailure>* failures = nullptr,
+      std::vector<RestartFailure>* failures = nullptr,
       const util::CancelToken* cancel = nullptr);
 
-  /// Surrogate objective and its gradient at a flattened latent. With
-  /// `grad == nullptr` this is a pure inference query: no autograd graph
-  /// is recorded at all.
-  double objective_and_grad(const std::vector<float>& x,
-                            std::vector<float>* grad);
-
-  /// Batched objective over R stacked latents: one [R, L*d] surrogate
-  /// forward (+ one backward when `grads` is non-null) instead of R.
-  /// Element r equals objective_and_grad(xs[r], ...) — rows never mix, the
-  /// summed backward seeds every row with the same weights, and the L2
-  /// clip is applied per row.
+  /// Surrogate objective F̂ over R stacked latents: one [R, L*d] surrogate
+  /// forward (+ one backward when `grads` is non-null, each row's gradient
+  /// L2-clipped on its own). With `grads == nullptr` this is a pure
+  /// inference query: no autograd graph is recorded at all. Rows never
+  /// mix: element r equals the same call on {xs[r]} alone.
   std::vector<double> objective_and_grad_batch(
       const std::vector<std::vector<float>>& xs,
       std::vector<std::vector<float>>* grads);
@@ -141,13 +129,13 @@ class ContinuousOptimizer {
   /// Gaussians one run consumes: L*d for the initial latent plus, in
   /// diffusion mode, L*d posterior-noise draws per step with t > 0.
   std::size_t noise_count() const;
-  /// Algorithm 2 with every random draw supplied up front.
-  OptimizeResult run_impl(const std::vector<float>& noise);
-  /// Algorithm 2 over restarts [begin, end) in lockstep, reading row r's
-  /// draws from noise[begin + r] and writing results[begin + r].
-  void run_impl_batch(const std::vector<std::vector<float>>& noise,
-                      std::size_t begin, std::size_t end,
-                      std::vector<OptimizeResult>* results);
+  /// Algorithm 2 over restarts [begin, end) in lockstep: row r draws its
+  /// Gaussians from a copy of noise[begin + r] (its block's start) and
+  /// writes results[begin + r].
+  void run_impl_batch(const std::vector<clo::Rng>& noise, std::size_t begin,
+                      std::size_t end, std::vector<OptimizeResult>* results);
+  /// RAII state of one run_restarts / run_restarts_tolerant call.
+  struct RestartScope;
 
   models::SurrogateModel& surrogate_;
   models::DiffusionModel& diffusion_;
@@ -155,13 +143,13 @@ class ContinuousOptimizer {
   OptimizeParams params_;
   /// Restart-loop progress ("progress.optimize" gauges). Installed by
   /// run_restarts / run_restarts_tolerant for their duration and ticked
-  /// once per denoising step by run_impl / run_impl_batch; tick() is
+  /// once per denoising step by run_impl_batch; tick() is
   /// thread-safe, so the concurrent restarts share one reporter. Never
   /// read by the math — purely observational.
   obs::Progress* progress_ = nullptr;
   /// Cancellation token borrowed for the duration of run_restarts /
   /// run_restarts_tolerant (same install/clear discipline as progress_)
-  /// and polled per denoising timestep by run_impl / run_impl_batch.
+  /// and polled per denoising timestep by run_impl_batch.
   /// Checks are pure reads: an unfired token cannot perturb results.
   const util::CancelToken* cancel_ = nullptr;
 };

@@ -25,8 +25,7 @@ obs::Json series_json(const std::vector<double>& values) {
 }  // namespace
 
 std::uint64_t pipeline_config_hash(const PipelineConfig& config,
-                                   const aig::Aig& circuit,
-                                   bool data_parallel) {
+                                   const aig::Aig& circuit) {
   ConfigHasher h;
   h.add(circuit.name())
       .add(static_cast<std::uint64_t>(circuit.num_pis()))
@@ -44,8 +43,7 @@ std::uint64_t pipeline_config_hash(const PipelineConfig& config,
       .add(static_cast<std::uint64_t>(config.surrogate_train.epochs))
       .add(static_cast<std::uint64_t>(config.surrogate_train.batch_size))
       .add(static_cast<double>(config.surrogate_train.lr))
-      .add(config.surrogate_train.holdout_fraction)
-      .add(static_cast<std::uint64_t>(data_parallel ? 1 : 0));
+      .add(config.surrogate_train.holdout_fraction);
   return h.hash();
 }
 
@@ -58,11 +56,6 @@ util::ThreadPool* CloPipeline::acquire_pool(
   if (workers < 2) return nullptr;
   *owned = std::make_unique<util::ThreadPool>(workers);
   return owned->get();
-}
-
-bool CloPipeline::data_parallel() const {
-  if (external_pool_ != nullptr) return external_pool_->size() >= 2;
-  return util::resolve_threads(config_.threads) >= 2;
 }
 
 PipelineResult CloPipeline::run(QorEvaluator& evaluator,
@@ -89,7 +82,7 @@ void CloPipeline::pretrain(QorEvaluator& evaluator,
   if (!config_.checkpoint_dir.empty()) {
     ckpt = std::make_unique<CheckpointManager>(
         config_.checkpoint_dir,
-        pipeline_config_hash(config_, evaluator.circuit(), data_parallel()));
+        pipeline_config_hash(config_, evaluator.circuit()));
   }
   DatasetCheckpoint dck;
   SurrogateCheckpoint sck;
@@ -185,17 +178,9 @@ void CloPipeline::pretrain(QorEvaluator& evaluator,
       clo::set_log_phase("surrogate_train");
       Stopwatch w;
       ScopedTimer st(w);
-      // Replicas only borrow the master's architecture; their init weights
-      // are overwritten before use, so a fixed factory seed is fine.
-      SurrogateFactory factory = [this, &evaluator, scfg] {
-        clo::Rng factory_rng(config_.seed ^ 0x5caff01dULL);
-        return models::make_surrogate(config_.surrogate, evaluator.circuit(),
-                                      scfg, factory_rng);
-      };
       result.surrogate_report =
           train_surrogate(*surrogate_, *embedding_, dataset_,
-                          config_.surrogate_train, rng, pool, factory,
-                          cancel);
+                          config_.surrogate_train, rng, cancel);
       result.surrogate_train_seconds = w.seconds();
       CLO_OBS_GAUGE("pipeline.surrogate_train_seconds",
                     result.surrogate_train_seconds);
@@ -302,7 +287,8 @@ void CloPipeline::pretrain(QorEvaluator& evaluator,
   pretrained_ = true;
 }
 
-PipelineResult CloPipeline::optimize(QorEvaluator& evaluator,
+PipelineResult CloPipeline::optimize(QorEvaluator& evaluator, int restarts,
+                                     bool verify,
                                      const util::CancelToken* cancel) {
   pretrain(evaluator, cancel);
   if (cancel != nullptr) cancel->check();
@@ -326,8 +312,7 @@ PipelineResult CloPipeline::optimize(QorEvaluator& evaluator,
     Stopwatch w;
     ScopedTimer st(w);
     result.restarts = optimizer.run_restarts_tolerant(
-        rng, config_.restarts, pool, config_.batch,
-        &result.optimize_quarantined, cancel);
+        rng, restarts, pool, &result.optimize_quarantined, cancel);
     result.optimize_seconds = w.seconds();
     CLO_OBS_GAUGE("pipeline.optimize_seconds", result.optimize_seconds);
     for (const auto& f : result.optimize_quarantined) {
@@ -409,7 +394,7 @@ PipelineResult CloPipeline::optimize(QorEvaluator& evaluator,
   // circuit and prove it equivalent with the miter-based checker. Like
   // validation, this runs outside the optimization loop and is excluded
   // from the Fig. 5 time.
-  if (config_.verify) {
+  if (verify) {
     CLO_TRACE_SPAN("pipeline.verify");
     clo::set_log_phase("verify");
     Stopwatch w;
@@ -466,11 +451,11 @@ obs::Json pipeline_report(const PipelineResult& result,
   report["schema"] = obs::Json(std::string("clo.report.v1"));
   report["run"] = obs::Json(clo::run_id());
   report["status"] = obs::Json(std::string("ok"));
-  // Which nn kernel dispatch target produced these numbers ("avx512",
-  // "avx2", or "scalar") and how many pool workers the tiled GEMM could
-  // fan out over. All targets and thread counts are bitwise identical by
-  // contract; recording them lets CI diff a --no-simd or --threads run
-  // against a default run.
+  // Which nn kernel dispatch target produced these numbers ("avx2" or
+  // "scalar") and how many pool workers the tiled GEMM could fan out over.
+  // All targets and thread counts are bitwise identical by contract;
+  // recording them lets CI diff a --no-simd or --threads run against a
+  // default run.
   report["kernel_target"] = obs::Json(std::string(nn::kernel::active_target()));
   report["kernel_threads"] = obs::Json(result.kernel_threads);
 

@@ -38,18 +38,11 @@ struct PipelineConfig {
   TrainConfig surrogate_train;
   OptimizeParams optimize;
   std::uint64_t seed = 1;
-  /// Worker threads for dataset labeling, surrogate training, restarts,
-  /// and validation. 1 = serial, 0 = hardware concurrency. Dataset
-  /// labeling, latent optimization, and validation QoR are bit-identical
-  /// at any value; only surrogate training's float rounding differs
-  /// between the serial batched path (threads == 1) and the data-parallel
-  /// per-sample path (threads >= 2, itself count-independent).
+  /// Worker threads for dataset labeling, the nn kernels' tiled GEMM,
+  /// restarts, and validation. 1 = serial, 0 = hardware concurrency.
+  /// Every phase — surrogate training included — is bit-identical at any
+  /// value.
   int threads = 1;
-  /// Advance restarts in lockstep through the denoising schedule (one
-  /// batched U-Net + surrogate pass per step) instead of one thread per
-  /// restart. Retrieved sequences are identical either way; false is the
-  /// `--no-batch` fallback.
-  bool batch = true;
   /// When non-empty, persist a phase checkpoint (dataset, surrogate,
   /// diffusion) into this directory after each pretraining phase.
   /// Checkpoint I/O failures are warnings, never fatal.
@@ -141,6 +134,16 @@ class CloPipeline {
   /// particular a registry-warm serve query — return results byte-identical
   /// to a cold run() with the same config.
   PipelineResult optimize(QorEvaluator& evaluator,
+                          const util::CancelToken* cancel = nullptr) {
+    return optimize(evaluator, config_.restarts, config_.verify, cancel);
+  }
+
+  /// optimize() with the optimize-phase inputs that pipeline_config_hash
+  /// leaves out given per call instead of read from the config. The serve
+  /// registry shares one pretrained pipeline between requests that differ
+  /// only in these; each call is byte-identical to a cold run() of the
+  /// config with `restarts` and `verify` set to these values.
+  PipelineResult optimize(QorEvaluator& evaluator, int restarts, bool verify,
                           const util::CancelToken* cancel = nullptr);
 
   /// Pretraining phases restored from a checkpoint by pretrain()
@@ -168,10 +171,6 @@ class CloPipeline {
   /// stored in `owned`. Null means "run serially".
   util::ThreadPool* acquire_pool(
       std::unique_ptr<util::ThreadPool>* owned) const;
-  /// Whether surrogate training uses the data-parallel per-sample path
-  /// (part of the checkpoint identity — its float rounding differs from
-  /// the serial batched path).
-  bool data_parallel() const;
 
   PipelineConfig config_;
   std::unique_ptr<models::TransformEmbedding> embedding_;
@@ -189,13 +188,12 @@ class CloPipeline {
 
 /// The checkpoint/registry identity of one (circuit, config) pair: hashes
 /// every knob (plus the circuit fingerprint) that changes the bits a
-/// pretraining phase produces. `data_parallel` selects the surrogate
-/// training mode (serial batched vs data-parallel per-sample), whose float
-/// rounding differs; the thread *count* is deliberately excluded. Shared by
-/// checkpoint keying and the serve model registry.
+/// pretraining phase produces. The thread count is excluded: no phase's
+/// bytes depend on it. Optimize-phase knobs (restarts, verify, optimize
+/// params) are excluded too. Shared by checkpoint keying and the serve
+/// model registry.
 std::uint64_t pipeline_config_hash(const PipelineConfig& config,
-                                   const aig::Aig& circuit,
-                                   bool data_parallel);
+                                   const aig::Aig& circuit);
 
 /// Serialize one pipeline run into the stable "clo.report.v1" JSON schema:
 /// QoR before/after, per-phase seconds, evaluator cache statistics,

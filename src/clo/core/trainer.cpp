@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <future>
 #include <limits>
 #include <memory>
 #include <numeric>
@@ -10,36 +9,20 @@
 #include <string>
 #include <vector>
 
-#include "clo/nn/kernel.hpp"
 #include "clo/nn/optim.hpp"
 #include "clo/util/fault.hpp"
 #include "clo/util/obs.hpp"
 #include "clo/util/stats.hpp"
-#include "clo/util/thread_pool.hpp"
 #include "clo/util/timer.hpp"
 
 namespace clo::core {
 
 using nn::Tensor;
 
-namespace {
-
-/// Copy master parameter values into a structurally identical replica.
-void sync_replica(const std::vector<Tensor>& master,
-                  const std::vector<Tensor>& replica) {
-  for (std::size_t p = 0; p < master.size(); ++p) {
-    replica[p].impl()->data = master[p].impl()->data;
-  }
-}
-
-}  // namespace
-
 TrainReport train_surrogate(models::SurrogateModel& model,
                             const models::TransformEmbedding& embedding,
                             const Dataset& dataset, const TrainConfig& config,
-                            clo::Rng& rng, util::ThreadPool* pool,
-                            const SurrogateFactory& replica_factory,
-                            const util::CancelToken* cancel) {
+                            clo::Rng& rng, const util::CancelToken* cancel) {
   Stopwatch watch;
   watch.start();
   const int n = static_cast<int>(dataset.size());
@@ -66,79 +49,6 @@ TrainReport train_surrogate(models::SurrogateModel& model,
       ya.data()[b] = dataset.norm_area(i);
       yd.data()[b] = dataset.norm_delay(i);
     }
-  };
-
-  // Data-parallel setup: one replica per worker so every concurrent
-  // per-sample forward/backward owns its whole compute graph.
-  const bool data_parallel =
-      pool != nullptr && pool->size() >= 2 && replica_factory != nullptr;
-  std::vector<std::unique_ptr<models::SurrogateModel>> replicas;
-  std::vector<std::vector<Tensor>> replica_params;
-  std::vector<Tensor> master_params = model.parameters();
-  if (data_parallel) {
-    for (std::size_t w = 0; w < pool->size(); ++w) {
-      replicas.push_back(replica_factory());
-      replica_params.push_back(replicas.back()->parameters());
-      if (replica_params.back().size() != master_params.size()) {
-        throw std::logic_error(
-            "train_surrogate: replica factory produced a different model");
-      }
-    }
-  }
-
-  // One minibatch on the replicas: per-sample losses/grads computed in
-  // parallel, snapshots keyed by sample index, reduced in index order onto
-  // the master grads. The reduction order (and hence the result) does not
-  // depend on which replica handled which sample.
-  auto run_batch_parallel = [&](const Tensor& x, const Tensor& ya,
-                                const Tensor& yd) -> double {
-    const int B = x.dim(0);
-    std::vector<double> sample_loss(B, 0.0);
-    std::vector<std::vector<nn::FloatBuf>> sample_grads(
-        B, std::vector<nn::FloatBuf>(master_params.size()));
-    const std::size_t R = replicas.size();
-    for (std::size_t r = 0; r < R; ++r) {
-      sync_replica(master_params, replica_params[r]);
-    }
-    std::vector<std::future<void>> futs;
-    futs.reserve(R);
-    for (std::size_t r = 0; r < R; ++r) {
-      futs.push_back(pool->submit([&, r] {
-        for (int b = static_cast<int>(r); b < B; b += static_cast<int>(R)) {
-          Tensor xb = Tensor::from_data(
-              {1, L * d},
-              std::vector<float>(x.data().begin() + b * L * d,
-                                 x.data().begin() + (b + 1) * L * d));
-          Tensor yab = Tensor::from_data({1, 1}, {ya.data()[b]});
-          Tensor ydb = Tensor::from_data({1, 1}, {yd.data()[b]});
-          auto out = replicas[r]->forward(xb);
-          Tensor loss = nn::add(nn::mse_loss(out.area, yab),
-                                nn::mse_loss(out.delay, ydb));
-          nn::backward(loss);
-          sample_loss[b] = loss.item();
-          for (std::size_t p = 0; p < master_params.size(); ++p) {
-            auto& g = replica_params[r][p].impl()->grad;
-            sample_grads[b][p] = g;
-            std::fill(g.begin(), g.end(), 0.0f);
-          }
-        }
-      }));
-    }
-    for (auto& f : futs) f.get();
-    // Batched MSE is the mean over samples, so the batch gradient is the
-    // per-sample sum scaled by 1/B; summing in sample order keeps the
-    // floats independent of worker count.
-    const float inv_b = 1.0f / static_cast<float>(B);
-    double batch_loss = 0.0;
-    for (int b = 0; b < B; ++b) {
-      batch_loss += sample_loss[b];
-      for (std::size_t p = 0; p < master_params.size(); ++p) {
-        if (sample_grads[b][p].empty()) continue;
-        auto& g = master_params[p].grad();
-        nn::kernel::axpy(g.data(), inv_b, sample_grads[b][p].data(), g.size());
-      }
-    }
-    return batch_loss / B;
   };
 
   // Divergence guard: keep a copy of the last weights known to produce a
@@ -169,16 +79,11 @@ TrainReport train_surrogate(models::SurrogateModel& model,
           std::min<std::size_t>(config.batch_size, train.size() - begin);
       Tensor x, ya, yd;
       make_batch(train, begin, count, x, ya, yd);
-      double batch_loss;
-      if (data_parallel) {
-        batch_loss = run_batch_parallel(x, ya, yd);
-      } else {
-        auto out = model.forward(x);
-        Tensor loss =
-            nn::add(nn::mse_loss(out.area, ya), nn::mse_loss(out.delay, yd));
-        nn::backward(loss);
-        batch_loss = loss.item();
-      }
+      auto out = model.forward(x);
+      Tensor loss =
+          nn::add(nn::mse_loss(out.area, ya), nn::mse_loss(out.delay, yd));
+      nn::backward(loss);
+      double batch_loss = loss.item();
       if (CLO_FAULT_FIRED("surrogate.loss_nan")) {
         batch_loss = std::numeric_limits<double>::quiet_NaN();
       }

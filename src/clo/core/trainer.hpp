@@ -4,16 +4,9 @@
 // reporting (Spearman rank correlation is what actually matters for
 // optimization quality).
 
-#include <functional>
-#include <memory>
-
 #include "clo/core/dataset.hpp"
 #include "clo/models/embedding.hpp"
 #include "clo/models/surrogate.hpp"
-
-namespace clo::util {
-class ThreadPool;
-}
 
 namespace clo::core {
 
@@ -43,27 +36,16 @@ struct TrainReport {
 /// diffusion alike).
 inline constexpr int kMaxLrBackoffs = 6;
 
-/// Builds a surrogate structurally identical to the model being trained
-/// (weights are overwritten with the master's before every batch, so the
-/// factory's own initialization never matters). Used to give each worker a
-/// private compute graph for data-parallel training.
-using SurrogateFactory =
-    std::function<std::unique_ptr<models::SurrogateModel>()>;
-
-/// Train `model` on the dataset. With a pool of >= 2 workers and a
-/// `replica_factory`, each minibatch is processed sample-per-sample on
-/// per-worker replicas and the gradients are reduced in sample-index
-/// order — deterministic for any worker count, though its float rounding
-/// differs from the serial batched path (which every other configuration
-/// uses and which matches the historical behavior exactly).
+/// Train `model` on the dataset with serial batched minibatches (the
+/// large matmuls may still tile over the registered kernel pool, which
+/// never changes a byte), so the result is identical at any thread count.
 /// `cancel` is polled once per minibatch; a fired token aborts training
 /// with util::CancelledError (the model is abandoned by the caller, so no
 /// partial-weight hazard).
 TrainReport train_surrogate(models::SurrogateModel& model,
                             const models::TransformEmbedding& embedding,
                             const Dataset& dataset, const TrainConfig& config,
-                            clo::Rng& rng, util::ThreadPool* pool = nullptr,
-                            const SurrogateFactory& replica_factory = nullptr,
+                            clo::Rng& rng,
                             const util::CancelToken* cancel = nullptr);
 
 }  // namespace clo::core

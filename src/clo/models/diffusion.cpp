@@ -161,6 +161,7 @@ DiffusionModel::TrainStats DiffusionModel::train(
   auto opt = std::make_unique<nn::Adam>(unet_->parameters(), lr);
   TrainStats stats;
   double loss_avg = 0.0;
+  int updates = 0;
   const int sample_every = std::max(1, iterations / 100);
   CLO_TRACE_SPAN("diffusion.train");
   obs::Progress progress(
@@ -214,11 +215,15 @@ DiffusionModel::TrainStats DiffusionModel::train(
       last_good[p] = params[p].impl()->data;
     }
     opt->step();
+    // Zero-initialized EMA, bias-corrected so the early curve is not
+    // dragged toward 0: after n updates the weights sum to 1 - 0.95^n.
     loss_avg = 0.95 * loss_avg + 0.05 * loss_val;
+    ++updates;
+    const double smoothed = loss_avg / (1.0 - std::pow(0.95, updates));
     stats.iterations = it + 1;
-    stats.final_loss = loss_avg;
+    stats.final_loss = smoothed;
     if (it % sample_every == 0 || it == iterations - 1) {
-      stats.loss_curve.push_back(loss_avg);
+      stats.loss_curve.push_back(smoothed);
     }
     progress.tick();
     CLO_OBS_COUNT("diffusion.iterations", 1);
@@ -232,7 +237,7 @@ std::vector<float> DiffusionModel::sample(clo::Rng& rng) {
   std::vector<float> x(static_cast<std::size_t>(L) * d);
   for (auto& v : x) v = static_cast<float>(rng.next_gaussian());
   for (int t = schedule_.num_steps() - 1; t >= 0; --t) {
-    const auto eps = predict_noise(x, t);
+    const auto eps = predict_noise_batch({x}, t)[0];
     // x0-parameterized posterior step with clipping: reconstruct x̂0,
     // clamp it to the data range, and sample q(x_{t-1} | x_t, x̂0). The
     // clamp keeps small-model denoiser error from compounding across the
@@ -252,17 +257,6 @@ std::vector<float> DiffusionModel::sample(clo::Rng& rng) {
     }
   }
   return x;
-}
-
-std::vector<float> DiffusionModel::predict_noise(
-    const std::vector<float>& x_flat, int t) {
-  const int L = cfg_.seq_len, d = cfg_.embed_dim;
-  nn::NoGradGuard no_grad;  // pure inference: skip the autograd graph
-  Tensor x = Tensor::from_data({1, d, L}, to_channel_layout(x_flat, L, d));
-  Tensor eps = unet_->forward(x, {t});
-  std::vector<float> out(eps.data().size());
-  from_channel_layout_into(eps.data().data(), L, d, out.data());
-  return out;
 }
 
 std::vector<std::vector<float>> DiffusionModel::predict_noise_batch(

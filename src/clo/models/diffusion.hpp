@@ -88,9 +88,13 @@ class DiffusionModel {
 
   struct TrainStats {
     int iterations = 0;
+    /// Bias-corrected exponential moving average (decay 0.95) of the
+    /// iteration loss at the last iteration.
     double final_loss = 0.0;
-    /// Smoothed loss sampled ~100 times across training (last iteration
-    /// always included) — the loss-curve series surfaced by run reports.
+    /// The same smoothed loss sampled ~100 times across training (first
+    /// and last iterations always included; the first point equals the
+    /// first iteration's loss) — the loss-curve series surfaced by run
+    /// reports.
     std::vector<double> loss_curve;
     /// Divergence recoveries: times a non-finite iteration loss triggered
     /// a rollback to the last good weights plus an LR halving. Training
@@ -112,13 +116,10 @@ class DiffusionModel {
   /// Unguided ancestral sampling (Eq. 7): returns a flattened [L*d] latent.
   std::vector<float> sample(clo::Rng& rng);
 
-  /// One denoiser evaluation on a single flattened latent (no grad).
-  std::vector<float> predict_noise(const std::vector<float>& x_flat, int t);
-
   /// One denoiser evaluation on R stacked flattened latents (no grad):
   /// a single [R, d, L] U-Net forward shared by every restart of the
-  /// batched optimizer. Row r of the result is bit-identical to
-  /// predict_noise(xs[r], t) — no op in the U-Net mixes batch rows.
+  /// optimizer. Row r of the result is bit-identical to the same call on
+  /// {xs[r]} alone — no op in the U-Net mixes batch rows.
   std::vector<std::vector<float>> predict_noise_batch(
       const std::vector<std::vector<float>>& xs, int t);
 

@@ -10,11 +10,10 @@
 // Portable blocked scalar kernels + the runtime dispatch layer + the tile
 // fan-out for the threaded GEMM. The AVX2 twins live in kernel_avx2.cpp
 // (compiled only when the toolchain supports -mavx2; CMake then defines
-// CLO_KERNEL_AVX2) and the AVX-512 twins in kernel_avx512.cpp (-mavx512f,
-// CLO_KERNEL_AVX512 — only ever defined together with CLO_KERNEL_AVX2).
-// All kernel TUs are built with -ffp-contract=off so no mul+add pair is
-// ever fused into an FMA — fusion would break the bitwise scalar/vector
-// equality the dispatch contract promises (see kernel.hpp).
+// CLO_KERNEL_AVX2). Both kernel TUs are built with -ffp-contract=off so
+// no mul+add pair is ever fused into an FMA — fusion would break the
+// bitwise scalar/vector equality the dispatch contract promises (see
+// kernel.hpp).
 
 namespace clo::nn::kernel {
 
@@ -45,29 +44,6 @@ void matmul_ta_ld(const float* a, int lda, const float* b, int ldb, float* out,
 }  // namespace avx2
 #endif
 
-#ifdef CLO_KERNEL_AVX512
-namespace avx512 {
-float dot(const float* a, const float* b, std::size_t n);
-float sqdist(const float* a, const float* b, std::size_t n);
-float sum(const float* a, std::size_t n);
-float max_value(const float* a, std::size_t n);
-void axpy(float* y, float a, const float* x, std::size_t n);
-void acc(float* y, const float* x, std::size_t n);
-void add(float* out, const float* a, const float* b, std::size_t n);
-void sub(float* out, const float* a, const float* b, std::size_t n);
-void mul(float* out, const float* a, const float* b, std::size_t n);
-void scale(float* out, const float* a, float s, std::size_t n);
-void div_inplace(float* y, float z, std::size_t n);
-void adam_update(float* p, float* m, float* v, const float* g, std::size_t n,
-                 float beta1, float beta2, float lr, float bias_c1,
-                 float bias_c2, float eps);
-void matmul_ld(const float* a, int lda, const float* b, int ldb, float* out,
-               int ldo, int m, int k, int n, bool transpose_b);
-void matmul_ta_ld(const float* a, int lda, const float* b, int ldb, float* out,
-                  int ldo, int m, int k, int n);
-}  // namespace avx512
-#endif
-
 // --- Dispatch state -----------------------------------------------------
 
 namespace {
@@ -75,14 +51,6 @@ namespace {
 bool cpu_has_avx2_fma() {
 #if defined(CLO_KERNEL_AVX2) && defined(__GNUC__)
   return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-#else
-  return false;
-#endif
-}
-
-bool cpu_has_avx512f() {
-#if defined(CLO_KERNEL_AVX512) && defined(__GNUC__)
-  return __builtin_cpu_supports("avx512f");
 #else
   return false;
 #endif
@@ -110,12 +78,6 @@ bool target_compiled(Target t) {
 #else
       return false;
 #endif
-    case Target::kAvx512:
-#ifdef CLO_KERNEL_AVX512
-      return true;
-#else
-      return false;
-#endif
   }
   return false;
 }
@@ -126,30 +88,19 @@ bool target_supported(Target t) {
       return true;
     case Target::kAvx2:
       return cpu_has_avx2_fma();
-    case Target::kAvx512:
-      // The AVX-512 TU also uses 256-bit ops, so AVX2+FMA support is part
-      // of its gate (every AVX-512F CPU has them, but be explicit).
-      return cpu_has_avx512f() && cpu_has_avx2_fma();
   }
   return false;
 }
 
 Target best_supported_target() {
-  static const Target best = [] {
-    if (target_supported(Target::kAvx512)) return Target::kAvx512;
-    if (target_supported(Target::kAvx2)) return Target::kAvx2;
-    return Target::kScalar;
-  }();
+  static const Target best =
+      target_supported(Target::kAvx2) ? Target::kAvx2 : Target::kScalar;
   return best;
 }
 
 Target set_target(Target t) {
-  Target actual = Target::kScalar;
-  for (Target c : {Target::kAvx2, Target::kAvx512}) {
-    if (static_cast<int>(c) <= static_cast<int>(t) && target_supported(c)) {
-      actual = c;
-    }
-  }
+  const Target actual =
+      t == Target::kAvx2 ? best_supported_target() : Target::kScalar;
   target_state().store(static_cast<int>(actual), std::memory_order_relaxed);
   return actual;
 }
@@ -160,8 +111,6 @@ Target current_target() {
 
 const char* target_name(Target t) {
   switch (t) {
-    case Target::kAvx512:
-      return "avx512";
     case Target::kAvx2:
       return "avx2";
     case Target::kScalar:
@@ -178,8 +127,6 @@ bool parse_target(const char* name, Target* out) {
     *out = Target::kScalar;
   } else if (s == "avx2") {
     *out = Target::kAvx2;
-  } else if (s == "avx512") {
-    *out = Target::kAvx512;
   } else if (s == "auto") {
     *out = best_supported_target();
   } else {
@@ -188,9 +135,7 @@ bool parse_target(const char* name, Target* out) {
   return true;
 }
 
-bool simd_compiled() {
-  return target_compiled(Target::kAvx2) || target_compiled(Target::kAvx512);
-}
+bool simd_compiled() { return target_compiled(Target::kAvx2); }
 
 bool simd_supported() { return best_supported_target() != Target::kScalar; }
 
@@ -388,17 +333,7 @@ void matmul_ta_ld(const float* a, int lda, const float* b, int ldb, float* out,
 
 // --- Public entry points ------------------------------------------------
 
-#if defined(CLO_KERNEL_AVX512)
-#define CLO_KERNEL_DISPATCH(call)       \
-  switch (current_target()) {           \
-    case Target::kAvx512:               \
-      return avx512::call;              \
-    case Target::kAvx2:                 \
-      return avx2::call;                \
-    default:                            \
-      return scalar::call;              \
-  }
-#elif defined(CLO_KERNEL_AVX2)
+#if defined(CLO_KERNEL_AVX2)
 #define CLO_KERNEL_DISPATCH(call)                        \
   if (current_target() != Target::kScalar) return avx2::call; \
   return scalar::call

@@ -1,11 +1,10 @@
 #pragma once
 // clo::nn::kernel — runtime-dispatched compute kernels for the nn hot path.
 //
-// Three implementations sit behind every entry point: a portable blocked
-// scalar path (always built), an AVX2/FMA-gated vector path (built when
+// Two implementations sit behind every entry point: a portable blocked
+// scalar path (always built) and an AVX2/FMA-gated vector path (built when
 // the compiler supports -mavx2, selected at runtime only when cpuid
-// reports AVX2+FMA), and an AVX-512 path (built when the compiler
-// supports -mavx512f, selected only when cpuid reports AVX-512F).
+// reports AVX2+FMA).
 // Dispatch is a single relaxed atomic load per call; `--no-simd` /
 // `--kernel-target` (tool flags) and the `simd` shell command force a
 // lower target at runtime — forcing a target the host cannot run clamps
@@ -17,15 +16,12 @@
 // — folded by the fixed tree in reduce8() with a sequential tail (the
 // layout conv1d's forward has used since PR 3). Elementwise kernels and
 // matmul's non-transposed form are per-element chains in a fixed order.
-// All targets implement exactly these orders with IEEE-754 single ops and
-// no FMA contraction (the vector TUs are compiled with -ffp-contract=off
-// and use mul+add, not vfmadd; vector divide/sqrt are correctly rounded
-// like their scalar counterparts). The AVX-512 TU keeps the 8-lane
-// reduction layout by feeding each 16-element load into the SAME eight
-// accumulator lanes as two sequential 8-wide adds, and runs 16-wide only
-// where elements are independent chains (elementwise, adam, matmul column
-// blocks). So results are BITWISE IDENTICAL run-to-run and across
-// dispatch targets — `--no-simd` cannot change a retrieved sequence. The
+// Both targets implement exactly these orders with IEEE-754 single ops and
+// no FMA contraction (the vector TU is compiled with -ffp-contract=off and
+// uses mul+add, not vfmadd; vector divide/sqrt are correctly rounded like
+// their scalar counterparts). So results are BITWISE IDENTICAL run-to-run
+// and across dispatch targets — `--no-simd` cannot change a retrieved
+// sequence. The
 // documented tolerance is relative to the pre-kernel naive sequential
 // loops: reassociating a length-k sum into 8 lanes perturbs it by at most
 // ~k·eps relative, which is why op-level tests compare against
@@ -55,7 +51,7 @@ namespace clo::nn::kernel {
 // --- Runtime dispatch ---------------------------------------------------
 
 /// Dispatch targets, in ascending preference order.
-enum class Target { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
+enum class Target { kScalar = 0, kAvx2 = 1 };
 
 /// True when the TU for `t` was compiled into this binary (kScalar always).
 bool target_compiled(Target t);
@@ -64,16 +60,16 @@ bool target_supported(Target t);
 /// The highest supported target — what dispatch uses by default.
 Target best_supported_target();
 /// Force dispatch to `t`, clamped down to the best supported target not
-/// above it (forcing kAvx512 on an AVX2-only host yields kAvx2). Returns
-/// the target actually active afterwards.
+/// above it (forcing kAvx2 on a host without AVX2+FMA yields kScalar).
+/// Returns the target actually active afterwards.
 Target set_target(Target t);
 /// The target calls currently dispatch to.
 Target current_target();
-/// "scalar" / "avx2" / "avx512".
+/// "scalar" / "avx2".
 const char* target_name(Target t);
 /// target_name(current_target()).
 const char* active_target();
-/// Parse a --kernel-target value ("scalar", "avx2", "avx512", or "auto" =
+/// Parse a --kernel-target value ("scalar", "avx2", or "auto" =
 /// best supported). Returns false for unknown names.
 bool parse_target(const char* name, Target* out);
 

@@ -1,9 +1,8 @@
 #pragma once
-// Internal to the kernel TUs (kernel.cpp / kernel_avx2.cpp /
-// kernel_avx512.cpp). The folds here ARE the reduction semantics every
-// dispatch target must implement; sharing one definition keeps them from
-// drifting apart. Pure adds and compares — nothing here is contractible
-// into an FMA.
+// Internal to the kernel TUs (kernel.cpp / kernel_avx2.cpp). The folds
+// here ARE the reduction semantics every dispatch target must implement;
+// sharing one definition keeps them from drifting apart. Pure adds and
+// compares — nothing here is contractible into an FMA.
 
 #include <limits>
 
@@ -20,10 +19,7 @@ inline float reduce8(const float lanes[8], float tail) {
 /// Fixed fold for 8-lane maxima with the `x > m ? x : m` select. NaN
 /// handling does NOT ride on this fold: max_value detects NaN with a
 /// separate unordered-compare accumulator and returns canonical_nan(), so
-/// the fold itself only ever sees the max-of-non-NaN path. (The AVX-512
-/// target deliberately keeps max_value at 8 lanes: folding 16 lanes down
-/// would reorder the selects and can flip which signed zero survives a
-/// +0.0 / -0.0 tie.)
+/// the fold itself only ever sees the max-of-non-NaN path.
 inline float fold_max8(const float lanes[8]) {
   float m = lanes[0];
   for (int t = 1; t < 8; ++t) m = lanes[t] > m ? lanes[t] : m;

@@ -100,6 +100,10 @@ void backward(const Tensor& root) {
     TensorImpl* node = *it;
     if (node->backward_fn && node->grad.size() == node->data.size()) {
       node->backward_fn(*node);
+      // Every consumer has already pushed into this grad (reverse
+      // topological order), so an op output's grad is dead once it has
+      // been passed on; releasing it bounds the pass's peak memory.
+      FloatBuf().swap(node->grad);
     }
   }
 }

@@ -28,7 +28,7 @@ using FloatBuf = util::AlignedFloats;
 struct TensorImpl {
   std::vector<int> shape;
   FloatBuf data;
-  FloatBuf grad;   ///< same size as data once touched
+  FloatBuf grad;   ///< same size as data once touched; see backward()
   bool requires_grad = false;
   std::vector<std::shared_ptr<TensorImpl>> parents;
   std::function<void(TensorImpl&)> backward_fn;  ///< pushes grad to parents
@@ -83,8 +83,10 @@ class Tensor {
 };
 
 /// Reverse-mode accumulation from a scalar `root` (numel() == 1).
-/// Grad buffers of reachable requires_grad tensors are accumulated into
-/// (callers zero them between steps via the optimizer).
+/// Grad buffers of reachable requires_grad leaves — parameters and inputs,
+/// tensors no op produced — are accumulated into (callers zero them
+/// between steps via the optimizer). An op output's grad is released as
+/// soon as it has been propagated to the op's inputs.
 void backward(const Tensor& root);
 
 /// Detached copy: same data, no graph history.

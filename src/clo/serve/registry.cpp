@@ -51,10 +51,8 @@ ModelRegistry::Entry::Entry(std::string key_, aig::Aig circuit,
 
 std::string ModelRegistry::key_for(const aig::Aig& circuit,
                                    const core::PipelineConfig& config) const {
-  const bool data_parallel =
-      options_.pool != nullptr && options_.pool->size() >= 2;
   return circuit.name() + "-" +
-         hex16(core::pipeline_config_hash(config, circuit, data_parallel));
+         hex16(core::pipeline_config_hash(config, circuit));
 }
 
 std::shared_ptr<ModelRegistry::Entry> ModelRegistry::get_or_train(

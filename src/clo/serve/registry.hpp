@@ -39,6 +39,7 @@
 #include <mutex>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "clo/core/evaluator.hpp"
@@ -70,7 +71,7 @@ class ModelRegistry {
   };
 
   /// One trained (circuit, config) pair. `mu` + `cv` + `optimizing`
-  /// single-flight the first optimize() — a plain mutex held across the
+  /// single-flight optimize() — a plain mutex held across the
   /// minutes-long optimize() would make waiting tunes uncancellable, so
   /// waiters do timed cv waits and poll their own CancelToken instead.
   /// The evaluator is internally thread-safe.
@@ -84,10 +85,11 @@ class ModelRegistry {
     std::mutex mu;
     std::condition_variable cv;  ///< signaled when optimizing clears
     bool optimizing = false;     ///< one session runs optimize() at a time
-    /// First optimize() result, cached: optimize() is deterministic from
-    /// the pretrain boundary, so every warm tune answers from here.
-    bool has_result = false;
-    core::PipelineResult result;
+    /// optimize() results keyed by the optimize-phase inputs the config
+    /// hash leaves out, (restarts, verify). optimize() is deterministic
+    /// from the pretrain boundary, so every warm tune with the same inputs
+    /// answers from here.
+    std::map<std::pair<int, bool>, core::PipelineResult> results;
 
     double pretrain_seconds = 0.0;
     int resumed_phases = 0;  ///< 3 = fully loaded from the registry dir

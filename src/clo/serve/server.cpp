@@ -280,28 +280,33 @@ bool Server::handle_line(int fd, const std::string& line) {
 
 namespace {
 
-/// The Entry single-flight protocol for the one-time optimize(): exactly
-/// one session runs it (flagged by `optimizing`); everyone else does timed
+/// The Entry single-flight protocol for optimize(): exactly one session
+/// runs it at a time (flagged by `optimizing`); everyone else does timed
 /// cv waits polling their own token, so a waiter's deadline or cancel
-/// fires promptly without disturbing the runner. Throwing (cancellation
-/// included) clears the flag and wakes a waiter to take over — `result`
-/// is only ever written from a completed optimize(), so no partial result
-/// can be cached.
+/// fires promptly without disturbing the runner. Results are cached per
+/// (restarts, verify) — the request's values, which the registry key
+/// leaves out — so each pair runs optimize() once. Throwing (cancellation
+/// included) clears the flag and wakes a waiter to take over; only a
+/// completed optimize() is ever cached.
 core::PipelineResult optimize_once(ModelRegistry::Entry& entry,
+                                   const Request& req,
                                    const util::CancelToken* cancel,
                                    bool* warm) {
+  const std::pair<int, bool> key{req.restarts, req.verify};
   std::unique_lock<std::mutex> lock(entry.mu);
-  while (!entry.has_result && entry.optimizing) {
+  for (;;) {
+    const auto it = entry.results.find(key);
+    if (it != entry.results.end()) {
+      if (warm != nullptr) *warm = true;
+      return it->second;
+    }
+    if (!entry.optimizing) break;
     if (cancel != nullptr) {
       cancel->check();
       entry.cv.wait_for(lock, std::chrono::milliseconds(50));
     } else {
       entry.cv.wait(lock);
     }
-  }
-  if (entry.has_result) {
-    if (warm != nullptr) *warm = true;
-    return entry.result;
   }
   if (warm != nullptr) *warm = false;
   entry.optimizing = true;
@@ -310,7 +315,8 @@ core::PipelineResult optimize_once(ModelRegistry::Entry& entry,
   try {
     // Deterministic from the pretrain boundary: this run is
     // byte-identical to a cold CLI `tune` of the same circuit/config.
-    result = entry.pipeline.optimize(entry.evaluator, cancel);
+    result = entry.pipeline.optimize(entry.evaluator, req.restarts, req.verify,
+                                     cancel);
   } catch (...) {
     lock.lock();
     entry.optimizing = false;
@@ -318,8 +324,7 @@ core::PipelineResult optimize_once(ModelRegistry::Entry& entry,
     throw;
   }
   lock.lock();
-  entry.result = result;
-  entry.has_result = true;
+  entry.results.emplace(key, result);
   entry.optimizing = false;
   entry.cv.notify_all();
   return result;
@@ -332,7 +337,7 @@ obs::Json Server::do_tune(const Request& req,
   auto entry =
       registry_->get_or_train(req.circuit, pipeline_config(req), cancel);
   bool warm = true;
-  const core::PipelineResult result = optimize_once(*entry, cancel, &warm);
+  const core::PipelineResult result = optimize_once(*entry, req, cancel, &warm);
   obs::Json r = ok_response(&req);
   r["circuit"] = req.circuit;
   r["warm"] = warm;
@@ -362,8 +367,8 @@ obs::Json Server::do_qor(const Request& req,
     seq = opt::parse_sequence(req.sequence);
   } else {
     // Empty sequence = "the registry's best for this circuit": run the
-    // one-time optimization if nobody has yet.
-    seq = optimize_once(*entry, cancel, nullptr).best_sequence;
+    // optimization for the request's (restarts, verify) if nobody has yet.
+    seq = optimize_once(*entry, req, cancel, nullptr).best_sequence;
   }
   const core::Qor qor = entry->evaluator.evaluate(seq, cancel);
   const core::EvaluatorStats stats = entry->evaluator.snapshot();

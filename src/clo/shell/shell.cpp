@@ -321,7 +321,6 @@ void Shell::register_commands() {
          config.restarts = args.size() > 2 ? std::stoi(args[2]) : 2;
          config.diffusion_steps = 60;
          config.threads = sh.threads_;
-         config.batch = sh.batch_;
          config.checkpoint_dir = sh.checkpoint_dir_;
          config.resume = sh.resume_;
          config.verify = sh.verify_;
@@ -427,24 +426,8 @@ void Shell::register_commands() {
          return true;
        }});
   commands_.push_back(
-      {"batch",
-       "batch [on|off] — set/show tune's batched lockstep optimizer",
-       [](Shell& sh, const auto& args, std::ostream& out) {
-         if (args.size() > 1) {
-           if (args[1] == "on") {
-             sh.batch_ = true;
-           } else if (args[1] == "off") {
-             sh.batch_ = false;
-           } else {
-             throw std::runtime_error("usage: batch [on|off]");
-           }
-         }
-         out << "batch = " << (sh.batch_ ? "on" : "off") << "\n";
-         return true;
-       }});
-  commands_.push_back(
       {"simd",
-       "simd [on|off|scalar|avx2|avx512|auto] — set/show the nn kernel "
+       "simd [on|off|scalar|avx2|auto] — set/show the nn kernel "
        "dispatch target",
        [](Shell& sh, const auto& args, std::ostream& out) {
          if (args.size() > 1) {
@@ -462,7 +445,7 @@ void Shell::register_commands() {
              }
            } else {
              throw std::runtime_error(
-                 "usage: simd [on|off|scalar|avx2|avx512|auto]");
+                 "usage: simd [on|off|scalar|avx2|auto]");
            }
          }
          out << "simd = " << (sh.simd() ? "on" : "off") << " (target "

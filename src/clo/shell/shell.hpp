@@ -47,12 +47,6 @@ class Shell {
   void set_threads(int n) { threads_ = n; }
   int threads() const { return threads_; }
 
-  /// Whether `tune` uses the batched lockstep optimizer (default) or the
-  /// per-restart fallback (`--no-batch`). Also settable at runtime with
-  /// the `batch` command.
-  void set_batch(bool on) { batch_ = on; }
-  bool batch() const { return batch_; }
-
   /// Whether the nn kernels may dispatch to the SIMD code paths
   /// (`--no-simd` forces the portable scalar kernels). Forwards to the
   /// process-wide clo::nn::kernel dispatch switch; also settable at
@@ -61,8 +55,8 @@ class Shell {
   void set_simd(bool on);
   bool simd() const;
 
-  /// Force a named nn kernel dispatch target ("scalar", "avx2", "avx512",
-  /// or "auto" = best supported; `--kernel-target` flag). Requesting a
+  /// Force a named nn kernel dispatch target ("scalar", "avx2", or
+  /// "auto" = best supported; `--kernel-target` flag). Requesting a
   /// target the host cannot run clamps down to the best supported one.
   /// Returns false when the name is unknown. All targets produce bitwise
   /// identical results — this exists for benchmarking and bisection.
@@ -114,7 +108,6 @@ class Shell {
   std::vector<Command> commands_;
   bool last_failed_ = false;
   int threads_ = 1;
-  bool batch_ = true;
   std::string checkpoint_dir_;
   bool resume_ = false;
   bool verify_ = false;

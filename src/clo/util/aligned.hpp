@@ -1,10 +1,9 @@
 #pragma once
 // Aligned allocator for SIMD-friendly buffers. Tensor data/grad storage
-// uses the 64-byte default so the AVX2/AVX-512 kernels
-// (clo/nn/kernel.hpp) start every buffer on a full cache line (and zmm
-// vector boundary); the kernels themselves still use unaligned loads
-// (interior slices of a tensor are not aligned), so alignment is a
-// performance property, never a correctness requirement.
+// uses the 64-byte default so the AVX2 kernels (clo/nn/kernel.hpp)
+// start every buffer on a full cache line; the kernels themselves still
+// use unaligned loads (interior slices of a tensor are not aligned), so
+// alignment is a performance property, never a correctness requirement.
 
 #include <cstddef>
 #include <new>

@@ -320,22 +320,18 @@ struct OptimizerFixture {
 };
 
 TEST_F(CheckpointTest, TolerantRestartsMatchPlainWhenNothingFails) {
-  for (const bool batched : {true, false}) {
-    clo::Rng setup(5);
-    OptimizerFixture fx(setup);
-    auto opt = fx.make();
-    clo::Rng a(23), b(23);
-    const auto plain = opt.run_restarts(a, 5, nullptr, batched);
-    std::vector<core::ContinuousOptimizer::RestartFailure> failures;
-    const auto tolerant =
-        opt.run_restarts_tolerant(b, 5, nullptr, batched, &failures);
-    EXPECT_TRUE(failures.empty());
-    ASSERT_EQ(tolerant.size(), plain.size());
-    for (std::size_t r = 0; r < plain.size(); ++r) {
-      EXPECT_EQ(tolerant[r].sequence, plain[r].sequence)
-          << "batched=" << batched << " restart " << r;
-      EXPECT_EQ(tolerant[r].latent, plain[r].latent);
-    }
+  clo::Rng setup(5);
+  OptimizerFixture fx(setup);
+  auto opt = fx.make();
+  clo::Rng a(23), b(23);
+  const auto plain = opt.run_restarts(a, 5, nullptr);
+  std::vector<core::ContinuousOptimizer::RestartFailure> failures;
+  const auto tolerant = opt.run_restarts_tolerant(b, 5, nullptr, &failures);
+  EXPECT_TRUE(failures.empty());
+  ASSERT_EQ(tolerant.size(), plain.size());
+  for (std::size_t r = 0; r < plain.size(); ++r) {
+    EXPECT_EQ(tolerant[r].sequence, plain[r].sequence) << "restart " << r;
+    EXPECT_EQ(tolerant[r].latent, plain[r].latent);
   }
 }
 
@@ -348,12 +344,11 @@ TEST_F(CheckpointTest, OneShotFaultsRecoverBitIdentical) {
     auto opt = fx.make();
     clo::Rng a(23);
     fault::disarm();
-    const auto plain = opt.run_restarts(a, 5, nullptr, true);
+    const auto plain = opt.run_restarts(a, 5, nullptr);
     fault::arm(spec);
     clo::Rng b(23);
     std::vector<core::ContinuousOptimizer::RestartFailure> failures;
-    const auto tolerant = opt.run_restarts_tolerant(b, 5, nullptr, true,
-                                                    &failures);
+    const auto tolerant = opt.run_restarts_tolerant(b, 5, nullptr, &failures);
     fault::disarm();
     EXPECT_TRUE(failures.empty()) << spec;
     ASSERT_EQ(tolerant.size(), plain.size());
@@ -369,7 +364,7 @@ TEST_F(CheckpointTest, QuarantineLeavesSurvivorsUnchanged) {
   OptimizerFixture fx(setup);
   auto opt = fx.make();
   clo::Rng a(23);
-  const auto plain = opt.run_restarts(a, 6, nullptr, true);
+  const auto plain = opt.run_restarts(a, 6, nullptr);
 
   // The firing pattern of a probability spec is a pure hash of
   // (seed, site, hit index), so this seed is chosen to poison exactly
@@ -380,8 +375,7 @@ TEST_F(CheckpointTest, QuarantineLeavesSurvivorsUnchanged) {
   fault::arm("optimizer.latent_nan=p0.3,seed=2781");
   clo::Rng b(23);
   std::vector<core::ContinuousOptimizer::RestartFailure> failures;
-  const auto tolerant =
-      opt.run_restarts_tolerant(b, 6, nullptr, true, &failures);
+  const auto tolerant = opt.run_restarts_tolerant(b, 6, nullptr, &failures);
   fault::disarm();
 
   ASSERT_EQ(tolerant.size(), plain.size());
@@ -403,8 +397,7 @@ TEST_F(CheckpointTest, AlwaysFiringFaultQuarantinesEverything) {
   fault::arm("optimizer.latent_nan=p1.0");
   clo::Rng rng(23);
   std::vector<core::ContinuousOptimizer::RestartFailure> failures;
-  const auto results = opt.run_restarts_tolerant(rng, 3, nullptr, true,
-                                                 &failures);
+  const auto results = opt.run_restarts_tolerant(rng, 3, nullptr, &failures);
   fault::disarm();
   ASSERT_EQ(failures.size(), results.size());
   for (const auto& f : failures) {

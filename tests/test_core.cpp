@@ -118,12 +118,13 @@ TEST(Optimizer, ObjectiveAndGradFiniteAndClipped) {
   core::ContinuousOptimizer opt(*surrogate, diffusion, emb, params);
   std::vector<float> x(20 * 8);
   for (auto& v : x) v = static_cast<float>(rng.next_gaussian());
-  std::vector<float> grad;
-  const double obj = opt.objective_and_grad(x, &grad);
+  std::vector<std::vector<float>> grads;
+  const double obj = opt.objective_and_grad_batch({x}, &grads)[0];
   EXPECT_TRUE(std::isfinite(obj));
-  ASSERT_EQ(grad.size(), x.size());
+  ASSERT_EQ(grads.size(), 1u);
+  ASSERT_EQ(grads[0].size(), x.size());
   double norm = 0.0;
-  for (float gv : grad) norm += static_cast<double>(gv) * gv;
+  for (float gv : grads[0]) norm += static_cast<double>(gv) * gv;
   EXPECT_LE(std::sqrt(norm), 0.5 + 1e-4);
 }
 
@@ -141,7 +142,7 @@ TEST(Optimizer, AblationModeRunsWithoutDiffusionQuality) {
   core::OptimizeParams params;
   params.use_diffusion = false;
   core::ContinuousOptimizer opt(*surrogate, diffusion, emb, params);
-  const auto result = opt.run(rng);
+  const auto result = opt.run_restarts(rng, 1)[0];
   EXPECT_EQ(result.sequence.size(), 20u);
   EXPECT_EQ(result.latent.size(), 20u * 8u);
   EXPECT_FALSE(result.trace.empty());
@@ -165,7 +166,7 @@ TEST(Optimizer, TraceEndsAtFinalStepInBothBranches) {
     params.use_diffusion = use_diffusion;
     core::ContinuousOptimizer opt(*surrogate, diffusion, emb, params);
     clo::Rng orng(31);
-    const auto result = opt.run(orng);
+    const auto result = opt.run_restarts(orng, 1)[0];
     ASSERT_FALSE(result.trace.empty()) << "diffusion=" << use_diffusion;
     EXPECT_EQ(result.trace.back().t, 0) << "diffusion=" << use_diffusion;
     // Steps are traced in schedule order, strictly descending in t.

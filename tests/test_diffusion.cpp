@@ -4,6 +4,7 @@
 
 #include "clo/models/diffusion.hpp"
 #include "clo/models/embedding.hpp"
+#include "clo/nn/ops.hpp"
 #include "clo/util/rng.hpp"
 
 namespace {
@@ -116,6 +117,46 @@ TEST(DiffusionModel, TrainingReducesLoss) {
   EXPECT_LT(late.final_loss, 1.2);  // below the eps ~ N(0,1) baseline of ~1
 }
 
+TEST(DiffusionModel, LossCurveStartsAtTheFirstIterationLoss) {
+  // The reported loss is a bias-corrected EMA, so its first point is the
+  // first iteration's loss itself, not 5% of it. The reference replays
+  // that iteration's batch draws on an identically initialized twin.
+  const auto cfg = tiny_config();
+  std::vector<std::vector<float>> data;
+  for (int i = 0; i < 8; ++i) {
+    data.emplace_back(cfg.seq_len * cfg.embed_dim, 0.25f * (i - 4));
+  }
+  constexpr int kBatch = 4;
+  clo::Rng init_a(8), init_b(8);
+  DiffusionModel model(cfg, init_a);
+  DiffusionModel twin(cfg, init_b);
+
+  clo::Rng train_rng(9);
+  const auto stats = model.train(data, 10, kBatch, 1e-3f, train_rng);
+  ASSERT_FALSE(stats.loss_curve.empty());
+
+  clo::Rng rng(9);
+  const int L = cfg.seq_len, d = cfg.embed_dim;
+  nn::Tensor x = nn::Tensor::zeros({kBatch, d, L});
+  nn::Tensor eps = nn::Tensor::zeros({kBatch, d, L});
+  std::vector<int> ts(kBatch);
+  for (int b = 0; b < kBatch; ++b) {
+    const auto& x0 = data[rng.next_below(data.size())];
+    ts[b] = static_cast<int>(rng.next_below(
+        static_cast<std::uint64_t>(twin.schedule().num_steps())));
+    const float sa = std::sqrt(twin.schedule().alpha_bar(ts[b]));
+    const float sb = std::sqrt(1.0f - twin.schedule().alpha_bar(ts[b]));
+    const auto chan = models::to_channel_layout(x0, L, d);
+    for (int i = 0; i < d * L; ++i) {
+      const float e = static_cast<float>(rng.next_gaussian());
+      eps.data()[b * d * L + i] = e;
+      x.data()[b * d * L + i] = sa * chan[i] + sb * e;
+    }
+  }
+  const double first = nn::mse_loss(twin.unet().forward(x, ts), eps).item();
+  EXPECT_DOUBLE_EQ(stats.loss_curve[0], first);
+}
+
 TEST(DiffusionModel, SamplesApproachTrainingManifold) {
   clo::Rng rng(4);
   models::TransformEmbedding emb(8, rng);
@@ -142,8 +183,8 @@ TEST(DiffusionModel, PredictNoiseDeterministic) {
   clo::Rng rng(5);
   DiffusionModel model(tiny_config(), rng);
   std::vector<float> x(8 * 8, 0.5f);
-  const auto e1 = model.predict_noise(x, 10);
-  const auto e2 = model.predict_noise(x, 10);
+  const auto e1 = model.predict_noise_batch({x}, 10)[0];
+  const auto e2 = model.predict_noise_batch({x}, 10)[0];
   EXPECT_EQ(e1, e2);
   EXPECT_EQ(e1.size(), x.size());
 }

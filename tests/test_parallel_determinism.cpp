@@ -1,20 +1,24 @@
 // Determinism acceptance tests for the parallel substrate: dataset
-// generation and latent optimization must be bit-identical at any worker
-// count (including the serial null-pool path), and the evaluator must
-// tolerate concurrent callers.
+// generation, surrogate training and latent optimization must be
+// bit-identical at any worker count (including the serial null-pool
+// path), and the evaluator must tolerate concurrent callers.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <sstream>
+#include <string>
 
 #include "clo/circuits/generators.hpp"
 #include "clo/core/dataset.hpp"
 #include "clo/core/evaluator.hpp"
 #include "clo/core/optimizer.hpp"
+#include "clo/core/pipeline.hpp"
 #include "clo/models/diffusion.hpp"
 #include "clo/models/embedding.hpp"
 #include "clo/models/surrogate.hpp"
 #include "clo/nn/kernel.hpp"
+#include "clo/nn/serialize.hpp"
 #include "clo/util/obs.hpp"
 #include "clo/util/thread_pool.hpp"
 
@@ -192,6 +196,46 @@ struct ObsEnabledScope {
     obs::Registry::instance().reset();
   }
 };
+
+struct PipelineRun {
+  core::PipelineResult result;
+  std::string surrogate_bytes;  ///< nn::save_parameters of the surrogate
+};
+
+PipelineRun run_pipeline(int threads) {
+  core::PipelineConfig config;
+  config.dataset_size = 16;
+  config.diffusion_steps = 8;
+  config.diffusion_iters = 20;
+  config.restarts = 2;
+  config.surrogate_train.epochs = 8;
+  config.threads = threads;
+  core::QorEvaluator evaluator(circuits::make_benchmark("ctrl"));
+  core::CloPipeline pipeline(config);
+  PipelineRun run;
+  run.result = pipeline.run(evaluator);
+  std::ostringstream os;
+  EXPECT_TRUE(nn::save_parameters(pipeline.surrogate()->parameters(), os));
+  run.surrogate_bytes = os.str();
+  return run;
+}
+
+TEST(ParallelDeterminism, SurrogateTrainingIdenticalAcrossThreadCounts) {
+  const PipelineRun serial = run_pipeline(1);
+  const PipelineRun pooled = run_pipeline(4);
+  const core::TrainReport& a = serial.result.surrogate_report;
+  const core::TrainReport& b = pooled.result.surrogate_report;
+  EXPECT_EQ(a.train_mse, b.train_mse);
+  EXPECT_EQ(a.holdout_mse, b.holdout_mse);
+  EXPECT_EQ(a.spearman_area, b.spearman_area);
+  EXPECT_EQ(a.spearman_delay, b.spearman_delay);
+  EXPECT_EQ(a.epoch_loss, b.epoch_loss);
+  EXPECT_EQ(a.lr_backoffs, b.lr_backoffs);
+  ASSERT_FALSE(serial.surrogate_bytes.empty());
+  EXPECT_TRUE(serial.surrogate_bytes == pooled.surrogate_bytes)
+      << "saved surrogate parameters differ between 1 and 4 threads";
+  EXPECT_EQ(serial.result.best_sequence, pooled.result.best_sequence);
+}
 
 TEST(ParallelDeterminism, InstrumentationDoesNotPerturbResults) {
   // Reference run with observability off (the default).

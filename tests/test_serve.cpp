@@ -159,9 +159,7 @@ TEST(ServeRegistry, PersistsAcrossInstances) {
     serve::ModelRegistry registry({dir, /*pool=*/nullptr});
     auto entry = registry.get_or_train("ctrl", tiny_config());
     EXPECT_EQ(entry->resumed_phases, 0);  // cold: nothing on disk yet
-    entry->result = entry->pipeline.optimize(entry->evaluator);
-    entry->has_result = true;
-    first_best = entry->result.best_sequence;
+    first_best = entry->pipeline.optimize(entry->evaluator).best_sequence;
   }
   {
     // A fresh registry (daemon restart) must load all three phases from
@@ -207,9 +205,7 @@ class ServeE2E : public ::testing::Test {
     options.port = 0;  // ephemeral
     options.sessions = 2;
     options.max_queue = 4;
-    // Two pool workers on both the serve and the cold side: surrogate
-    // training's float rounding differs between serial and data-parallel
-    // modes, and byte-parity requires matching modes.
+    // A pool of two: every answer must still match a serial cold run.
     options.threads = 2;
     options.idle_timeout_ms = 2000;
     server = std::make_unique<serve::Server>(options);
@@ -229,6 +225,15 @@ class ServeE2E : public ::testing::Test {
     const obs::Json* v = doc.find(key);
     EXPECT_NE(v, nullptr) << "missing field " << key << " in " << doc.dump();
     return v;
+  }
+
+  /// The cold reference for a request: the same config through
+  /// CloPipeline::run directly, serially — what the CLI would print.
+  static core::PipelineResult cold_run(const std::string& line) {
+    const auto config = serve::pipeline_config(serve::parse_request(line));
+    core::QorEvaluator evaluator(circuits::make_benchmark("ctrl"));
+    core::CloPipeline pipeline(config);
+    return pipeline.run(evaluator);
   }
 
   std::unique_ptr<serve::Server> server;
@@ -256,13 +261,39 @@ TEST_F(ServeE2E, WarmTuneIsByteIdenticalToColdPipelineRun) {
 
   // Cold reference: the same config through CloPipeline::run directly —
   // the serve answer must be byte-identical to what the CLI would print.
-  auto req = serve::parse_request(tune_line);
-  auto config = serve::pipeline_config(req);
-  config.threads = 2;  // match the server pool's data-parallel mode
-  core::QorEvaluator evaluator(circuits::make_benchmark("ctrl"));
-  core::CloPipeline pipeline(config);
-  const auto reference = pipeline.run(evaluator);
+  const auto reference = cold_run(tune_line);
   EXPECT_EQ(opt::sequence_to_string(reference.best_sequence), served_seq);
+}
+
+TEST_F(ServeE2E, TuneAnswersEachRestartCountLikeAColdRun) {
+  // restarts is left out of the registry key (it does not touch
+  // pretraining), so both counts share one trained entry — but each count
+  // must get its own optimize() and answer exactly what a cold serial
+  // run of that config prints.
+  for (const int restarts : {1, 3}) {
+    const std::string line =
+        R"({"op":"tune","circuit":"ctrl","dataset":16,"restarts":)" +
+        std::to_string(restarts) + "}";
+    const auto reference = cold_run(line);
+    // Connect after the cold run, which outlasts the idle timeout.
+    serve::Client client;
+    ASSERT_TRUE(client.connect(server->port()));
+    for (const bool warm : {false, true}) {
+      const obs::Json r = request(client, line);
+      ASSERT_EQ(field(r, "status")->as_string(), "ok") << r.dump();
+      EXPECT_EQ(field(r, "warm")->as_bool(), warm) << "restarts " << restarts;
+      EXPECT_EQ(field(r, "best_sequence")->as_string(),
+                opt::sequence_to_string(reference.best_sequence))
+          << "restarts " << restarts;
+      EXPECT_EQ(field(r, "best_area_um2")->as_double(),
+                reference.best.area_um2);
+      EXPECT_EQ(field(r, "best_delay_ps")->as_double(),
+                reference.best.delay_ps);
+      EXPECT_EQ(field(r, "original_area_um2")->as_double(),
+                reference.original.area_um2);
+    }
+  }
+  EXPECT_EQ(server->registry().trainings(), 1u);
 }
 
 TEST_F(ServeE2E, WarmQorQueriesNeverTouchSynthesis) {
@@ -470,7 +501,7 @@ TEST(ServeCancel, CancelMidTrainLeavesNoPartialEntryAndRetrainMatchesCold) {
   serve::ServerOptions options;
   options.port = 0;
   options.sessions = 2;
-  options.threads = 2;  // match the cold reference's data-parallel mode
+  options.threads = 2;
   serve::Server server(options);
   ASSERT_TRUE(server.start());
   const std::string tune_line =
@@ -536,9 +567,7 @@ TEST(ServeCancel, CancelMidTrainLeavesNoPartialEntryAndRetrainMatchesCold) {
   ASSERT_NE(redo.find("status"), nullptr);
   ASSERT_EQ(redo.find("status")->as_string(), "ok") << redo.dump();
 
-  auto req = serve::parse_request(tune_line);
-  auto config = serve::pipeline_config(req);
-  config.threads = 2;
+  const auto config = serve::pipeline_config(serve::parse_request(tune_line));
   core::QorEvaluator evaluator(circuits::make_benchmark("ctrl"));
   core::CloPipeline pipeline(config);
   const auto reference = pipeline.run(evaluator);

@@ -9,13 +9,11 @@
 // Options:
 //   --threads N   worker threads for `tune` (default 0 = hardware
 //                 concurrency; 1 runs fully serial)
-//   --no-batch    use the per-restart optimizer fallback instead of the
-//                 batched lockstep path (identical sequences, slower)
 //   --no-simd     force the portable scalar nn kernels instead of the
 //                 runtime-dispatched SIMD ones (identical results, slower)
 //   --kernel-target T
 //                 force a specific nn kernel dispatch target
-//                 (scalar|avx2|avx512|auto); unsupported targets clamp
+//                 (scalar|avx2|auto); unsupported targets clamp
 //                 down to the best the host can run (identical results)
 //   --trace F     write a Chrome trace-event JSON (chrome://tracing,
 //                 Perfetto) of the session to F on exit
@@ -235,22 +233,18 @@ int main(int argc, char** argv) {
       shell.set_threads(std::atoi(argv[++i]));
       continue;
     }
-    if (arg == "--no-batch") {
-      shell.set_batch(false);
-      continue;
-    }
     if (arg == "--no-simd") {
       shell.set_simd(false);
       continue;
     }
     if (arg == "--kernel-target") {
       if (i + 1 >= argc) {
-        std::cerr << "--kernel-target needs scalar|avx2|avx512|auto\n";
+        std::cerr << "--kernel-target needs scalar|avx2|auto\n";
         return 1;
       }
       if (!shell.set_kernel_target(argv[++i])) {
         std::cerr << "unknown kernel target '" << argv[i]
-                  << "' (want scalar|avx2|avx512|auto)\n";
+                  << "' (want scalar|avx2|auto)\n";
         return 1;
       }
       continue;

@@ -6,8 +6,8 @@
 //   clo_bench_diff OLD.json NEW.json [--max-regress PCT]
 //
 // Entries are keyed on (name, threads, target) — records missing either
-// field default to threads=1 / target="default" — so a threaded AVX-512
-// run is only ever compared against a threaded AVX-512 run of the same
+// field default to threads=1 / target="default" — so a threaded AVX2
+// run is only ever compared against a threaded AVX2 run of the same
 // case, never against a serial or scalar one. For every key present in
 // both files the timing is taken from the first of {simd_ns, scalar_ns,
 // ns, seconds} each record carries, and the
