@@ -2,30 +2,30 @@
 // kernel on the shapes the real models hit (LSTM/MLP surrogate matmuls,
 // U-Net conv1d im2col dots, matmul_ta backward slabs, Adam slabs,
 // embedding nearest-scan sqdist), once per dispatch target, and records
-// speedups against the scalar target at the same thread count.
+// speedups against the scalar target. Kernels run on the calling thread.
 //
 //   ./bench_kernels [--out BENCH_kernels.json] [--min-ms 50] [--large]
-//                   [--full] [--threads N] [--kernel-target T] [--no-simd]
+//                   [--full] [--kernel-target T] [--no-simd]
 //
-// --threads N runs the tiled GEMM fan-out on an N-worker pool (1 =
-// serial); --full adds the paper-scale batched shapes (R=30 restarts over
-// [R, L*d] latents against full-width layers). --kernel-target restricts
-// timing to one named target (scalar is always also run: it is the parity
-// reference and the speedup baseline).
+// --full adds the paper-scale batched shapes (R=30 restarts over [R, L*d]
+// latents against full-width layers). --kernel-target restricts timing to
+// one named target (scalar is always also run: it is the parity reference
+// and the speedup baseline).
 //
 // Before timing anything it verifies the determinism contract the layer
-// documents: for every case, every compiled-and-supported target at every
-// thread count in {1, N} must produce BITWISE identical output to the
-// serial scalar run (see kernel.hpp). A mismatch is a hard failure, not a
-// footnote — CI runs this as the cross-target/cross-thread parity gate.
+// documents: for every case, every compiled-and-supported target must
+// produce BITWISE identical output to the scalar run (see kernel.hpp). A
+// mismatch is a hard failure, not a footnote — CI runs this as the
+// cross-target parity gate.
 //
 // Output JSON (schema "clo.bench.kernels.v1"):
 //   { schema, simd_compiled, simd_supported, default_target, threads,
 //     host_cores, min_ms,
 //     results: [ { name, target, threads, flops_per_op, ns, gflops,
 //                  speedup, parity } ] }
-// One row per (case, target); `speedup` is scalar_ns / ns at the same
-// thread count (1.0 for the scalar rows themselves).
+// One row per (case, target); `speedup` is scalar_ns / ns (1.0 for the
+// scalar rows themselves). `threads` is always 1; it stays in the schema
+// so rows key the same way in clo_bench_diff as older baselines.
 
 #include <algorithm>
 #include <chrono>
@@ -42,7 +42,6 @@
 #include "clo/util/cli.hpp"
 #include "clo/util/obs.hpp"
 #include "clo/util/rng.hpp"
-#include "clo/util/thread_pool.hpp"
 
 namespace {
 
@@ -88,7 +87,7 @@ double time_ns_per_op(const Case& c, double min_ms) {
 }
 
 /// Capture the case's output bytes after one run under the current
-/// dispatch target and kernel pool.
+/// dispatch target.
 AlignedFloats run_once(const Case& c) {
   c.reset();
   c.run();
@@ -109,7 +108,6 @@ int main(int argc, char** argv) {
   const double min_ms = args.get_double("min-ms", 50.0);
   const bool large = args.has("large");
   const bool full = args.has("full");
-  const int threads = std::atoi(args.get("threads", "1").c_str());
   if (args.has("no-simd")) kernel::set_simd_enabled(false);
 
   // The targets to time: every compiled-and-supported one, or just the
@@ -132,12 +130,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "note: target %s not supported here; scalar only\n",
                  only.c_str());
   }
-
-  // Worker pool for the tiled GEMM fan-out (null = serial). The pool is
-  // installed per timing/parity run via PoolGuard so `threads 1` rows
-  // really measure the serial path.
-  std::unique_ptr<util::ThreadPool> pool;
-  if (threads >= 2) pool = std::make_unique<util::ThreadPool>(threads);
 
   Rng rng(7);
   std::vector<Case> cases;
@@ -169,8 +161,7 @@ int main(int argc, char** argv) {
   if (full) {
     // Paper-scale batched shapes: all 30 restarts advance in lockstep, so
     // the denoiser/surrogate see [R, L*d] = [30, 160] activations against
-    // full-width layer matrices. The square 256 slab is the headline
-    // threaded-GEMM number.
+    // full-width layer matrices, plus a square 256 slab.
     mm.push_back({"matmul_batch30_160x256", 30, 160, 256, false});
     mm.push_back({"matmul_batch30_256x256", 30, 256, 256, false});
     mm.push_back({"matmul_t_batch30_160x256", 30, 160, 256, true});
@@ -321,46 +312,30 @@ int main(int argc, char** argv) {
     });
   }
 
-  std::printf(
-      "kernels: simd_compiled=%d simd_supported=%d target=%s threads=%d\n",
-      kernel::simd_compiled() ? 1 : 0, kernel::simd_supported() ? 1 : 0,
-      kernel::active_target(), threads);
+  std::printf("kernels: simd_compiled=%d simd_supported=%d target=%s\n",
+              kernel::simd_compiled() ? 1 : 0,
+              kernel::simd_supported() ? 1 : 0, kernel::active_target());
 
   const kernel::Target default_target = kernel::current_target();
   obs::Json results = obs::Json::array();
   bool parity_ok = true;
   for (const auto& c : cases) {
-    // Reference bytes: serial scalar run — the portable ground truth every
-    // (target, thread-count) combination must reproduce bit-for-bit.
+    // Reference bytes: the scalar run — the portable ground truth every
+    // target must reproduce bit-for-bit.
     kernel::set_target(kernel::Target::kScalar);
-    AlignedFloats reference;
-    {
-      kernel::PoolGuard serial(nullptr);
-      reference = run_once(c);
-    }
+    const AlignedFloats reference = run_once(c);
 
-    // Parity gate: every target x every thread count in {1, threads}.
+    // Parity gate: every target against the reference.
     std::vector<std::string> parity(targets.size(), "bitwise");
     for (std::size_t ti = 0; ti < targets.size(); ++ti) {
       kernel::set_target(targets[ti]);
-      bool ok = true;
-      {
-        kernel::PoolGuard serial(nullptr);
-        ok = ok && same_bytes(reference, run_once(c));
-      }
-      if (pool != nullptr) {
-        kernel::PoolGuard threaded(pool.get());
-        ok = ok && same_bytes(reference, run_once(c));
-      }
-      if (!ok) {
+      if (!same_bytes(reference, run_once(c))) {
         parity[ti] = "MISMATCH";
         parity_ok = false;
       }
     }
 
-    // Timing: each target at the requested thread count; scalar at the
-    // same count is the speedup baseline.
-    kernel::PoolGuard timing_pool(pool.get());
+    // Timing: each target; scalar is the speedup baseline.
     double scalar_ns = 0.0;
     for (std::size_t ti = 0; ti < targets.size(); ++ti) {
       kernel::set_target(targets[ti]);
@@ -371,7 +346,7 @@ int main(int argc, char** argv) {
       row["name"] = obs::Json(c.name);
       row["target"] =
           obs::Json(std::string(kernel::target_name(targets[ti])));
-      row["threads"] = obs::Json(static_cast<double>(threads));
+      row["threads"] = obs::Json(1.0);
       row["flops_per_op"] = obs::Json(c.flops_per_op);
       row["ns"] = obs::Json(ns);
       row["gflops"] = obs::Json(c.flops_per_op / ns);
@@ -379,8 +354,8 @@ int main(int argc, char** argv) {
       row["parity"] = obs::Json(parity[ti]);
       results.push_back(std::move(row));
 
-      std::printf("%-32s %-7s t%-2d %12.1f ns  x%5.2f  %s\n", c.name.c_str(),
-                  kernel::target_name(targets[ti]), threads, ns,
+      std::printf("%-32s %-7s %12.1f ns  x%5.2f  %s\n", c.name.c_str(),
+                  kernel::target_name(targets[ti]), ns,
                   scalar_ns > 0.0 ? scalar_ns / ns : 1.0,
                   parity[ti].c_str());
     }
@@ -393,7 +368,7 @@ int main(int argc, char** argv) {
   doc["simd_compiled"] = obs::Json(kernel::simd_compiled());
   doc["simd_supported"] = obs::Json(kernel::simd_supported());
   doc["default_target"] = obs::Json(std::string(kernel::active_target()));
-  doc["threads"] = obs::Json(static_cast<double>(threads));
+  doc["threads"] = obs::Json(1.0);
   doc["host_cores"] = obs::Json(
       static_cast<double>(std::thread::hardware_concurrency()));
   doc["min_ms"] = obs::Json(min_ms);
@@ -405,7 +380,7 @@ int main(int argc, char** argv) {
   std::printf("wrote %s\n", out_path.c_str());
   if (!parity_ok) {
     std::fprintf(stderr,
-                 "FATAL: cross-target/cross-thread outputs differ bitwise — "
+                 "FATAL: cross-target outputs differ bitwise — "
                  "the kernel determinism contract is broken\n");
     return 1;
   }

@@ -250,10 +250,7 @@ inline MethodResult run_ours(const aig::Aig& circuit,
                         result.surrogate_train_seconds +
                         result.diffusion_train_seconds;
   // Objective-specialized restarts reusing the already-trained models.
-  // The kernel layer fans its tiled GEMMs over the same pool the restarts
-  // run on (bitwise-identical at any worker count).
   const auto pool = make_pool(scale);
-  nn::kernel::PoolGuard kernel_pool(pool.get());
   clo::Rng rng(scale.seed + 77);
   for (const bool area_run : {true, false}) {
     core::OptimizeParams params;

@@ -9,6 +9,7 @@
 #include "clo/nn/serialize.hpp"
 #include "clo/util/fault.hpp"
 #include "clo/util/log.hpp"
+#include "clo/util/proc.hpp"
 #include "clo/util/thread_pool.hpp"
 #include "clo/util/timer.hpp"
 
@@ -74,9 +75,6 @@ void CloPipeline::pretrain(QorEvaluator& evaluator,
   // consumer below treats a null pool as "run serially".
   std::unique_ptr<util::ThreadPool> owned_pool;
   util::ThreadPool* pool = acquire_pool(&owned_pool);
-  // Let the nn kernels tile large matmuls over the same pool for the
-  // duration of this phase (bytes are pool-invariant by contract).
-  nn::kernel::PoolGuard kernel_pool(pool);
 
   std::unique_ptr<CheckpointManager> ckpt;
   if (!config_.checkpoint_dir.empty()) {
@@ -119,9 +117,11 @@ void CloPipeline::pretrain(QorEvaluator& evaluator,
       clo::set_log_phase("dataset");
       Stopwatch w;
       ScopedTimer st(w);
+      const double cpu0 = util::proc::cpu_seconds();
       dataset_ = generate_dataset(evaluator, config_.dataset_size,
                                   config_.seq_len, rng, pool, cancel);
       result.dataset_seconds = w.seconds();
+      result.dataset_cpu_seconds = util::proc::cpu_seconds() - cpu0;
       CLO_OBS_GAUGE("pipeline.dataset_seconds", result.dataset_seconds);
     }
     if (ckpt != nullptr) {
@@ -178,10 +178,12 @@ void CloPipeline::pretrain(QorEvaluator& evaluator,
       clo::set_log_phase("surrogate_train");
       Stopwatch w;
       ScopedTimer st(w);
+      const double cpu0 = util::proc::cpu_seconds();
       result.surrogate_report =
           train_surrogate(*surrogate_, *embedding_, dataset_,
                           config_.surrogate_train, rng, cancel);
       result.surrogate_train_seconds = w.seconds();
+      result.surrogate_train_cpu_seconds = util::proc::cpu_seconds() - cpu0;
       CLO_OBS_GAUGE("pipeline.surrogate_train_seconds",
                     result.surrogate_train_seconds);
     }
@@ -246,6 +248,7 @@ void CloPipeline::pretrain(QorEvaluator& evaluator,
       clo::set_log_phase("diffusion_train");
       Stopwatch w;
       ScopedTimer st(w);
+      const double cpu0 = util::proc::cpu_seconds();
       std::vector<std::vector<float>> data;
       data.reserve(dataset_.size());
       for (const auto& seq : dataset_.sequences) {
@@ -255,6 +258,7 @@ void CloPipeline::pretrain(QorEvaluator& evaluator,
           data, config_.diffusion_iters, config_.diffusion_batch,
           config_.diffusion_lr, rng, cancel);
       result.diffusion_train_seconds = w.seconds();
+      result.diffusion_train_cpu_seconds = util::proc::cpu_seconds() - cpu0;
       CLO_OBS_GAUGE("pipeline.diffusion_train_seconds",
                     result.diffusion_train_seconds);
       CLO_LOG_INFO << evaluator.circuit().name() << ": diffusion loss "
@@ -300,8 +304,6 @@ PipelineResult CloPipeline::optimize(QorEvaluator& evaluator, int restarts,
   rng.set_state(boundary_rng_);
   std::unique_ptr<util::ThreadPool> owned_pool;
   util::ThreadPool* pool = acquire_pool(&owned_pool);
-  nn::kernel::PoolGuard kernel_pool(pool);
-  result.kernel_threads = static_cast<int>(nn::kernel::threads());
 
   // ---- Continuous optimization (lower half of Fig. 1) --------------------
   ContinuousOptimizer optimizer(*surrogate_, *diffusion_, *embedding_,
@@ -311,9 +313,11 @@ PipelineResult CloPipeline::optimize(QorEvaluator& evaluator, int restarts,
     clo::set_log_phase("optimize");
     Stopwatch w;
     ScopedTimer st(w);
+    const double cpu0 = util::proc::cpu_seconds();
     result.restarts = optimizer.run_restarts_tolerant(
         rng, restarts, pool, &result.optimize_quarantined, cancel);
     result.optimize_seconds = w.seconds();
+    result.optimize_cpu_seconds = util::proc::cpu_seconds() - cpu0;
     CLO_OBS_GAUGE("pipeline.optimize_seconds", result.optimize_seconds);
     for (const auto& f : result.optimize_quarantined) {
       CLO_LOG_WARN << "optimize: quarantined restart " << f.index << ": "
@@ -327,6 +331,7 @@ PipelineResult CloPipeline::optimize(QorEvaluator& evaluator, int restarts,
     clo::set_log_phase("validate");
     Stopwatch w;
     ScopedTimer st(w);
+    const double cpu0 = util::proc::cpu_seconds();
     // Label every restart in parallel, then pick the winner serially so
     // the first-lowest tie-break is scheduling-independent. Every restart
     // is attempted even when one fails; failures get one serial retry
@@ -386,6 +391,7 @@ PipelineResult CloPipeline::optimize(QorEvaluator& evaluator, int restarts,
       result.best_discrepancy = 0.0;
     }
     result.validate_seconds = w.seconds();
+    result.validate_cpu_seconds = util::proc::cpu_seconds() - cpu0;
     CLO_OBS_GAUGE("pipeline.validate_seconds", result.validate_seconds);
   }
 
@@ -399,6 +405,7 @@ PipelineResult CloPipeline::optimize(QorEvaluator& evaluator, int restarts,
     clo::set_log_phase("verify");
     Stopwatch w;
     ScopedTimer st(w);
+    const double cpu0 = util::proc::cpu_seconds();
     std::vector<char> valid(result.restarts.size(), 1);
     for (const auto& f : result.optimize_quarantined) valid[f.index] = 0;
     for (const auto& f : result.validate_quarantined) valid[f.index] = 0;
@@ -436,6 +443,7 @@ PipelineResult CloPipeline::optimize(QorEvaluator& evaluator, int restarts,
       }
     }
     result.verify_seconds = w.seconds();
+    result.verify_cpu_seconds = util::proc::cpu_seconds() - cpu0;
     CLO_OBS_GAUGE("pipeline.verify_seconds", result.verify_seconds);
     CLO_LOG_INFO << evaluator.circuit().name() << ": verify "
                  << result.verify_verdict << " (" << sequences.size()
@@ -452,12 +460,9 @@ obs::Json pipeline_report(const PipelineResult& result,
   report["run"] = obs::Json(clo::run_id());
   report["status"] = obs::Json(std::string("ok"));
   // Which nn kernel dispatch target produced these numbers ("avx2" or
-  // "scalar") and how many pool workers the tiled GEMM could fan out over.
-  // All targets and thread counts are bitwise identical by contract;
-  // recording them lets CI diff a --no-simd or --threads run against a
-  // default run.
+  // "scalar"). All targets are bitwise identical by contract; recording
+  // it lets CI diff a --no-simd run against a default run.
   report["kernel_target"] = obs::Json(std::string(nn::kernel::active_target()));
-  report["kernel_threads"] = obs::Json(result.kernel_threads);
 
   obs::Json resume = obs::Json::object();
   resume["resumed_phases"] = obs::Json(result.resumed_phases);
@@ -509,6 +514,20 @@ obs::Json pipeline_report(const PipelineResult& result,
     phases["verify"] = obs::Json(result.verify_seconds);
   }
   report["phase_seconds"] = phases;
+
+  // Process-wide CPU seconds per phase (getrusage: every thread of the
+  // process, so concurrent work outside the pipeline counts too). Divided
+  // by phase_seconds it gives the phase's effective thread count.
+  obs::Json phase_cpu = obs::Json::object();
+  phase_cpu["dataset"] = obs::Json(result.dataset_cpu_seconds);
+  phase_cpu["surrogate_train"] = obs::Json(result.surrogate_train_cpu_seconds);
+  phase_cpu["diffusion_train"] = obs::Json(result.diffusion_train_cpu_seconds);
+  phase_cpu["optimize"] = obs::Json(result.optimize_cpu_seconds);
+  phase_cpu["validate"] = obs::Json(result.validate_cpu_seconds);
+  if (!result.verify_verdict.empty()) {
+    phase_cpu["verify"] = obs::Json(result.verify_cpu_seconds);
+  }
+  report["phase_cpu_seconds"] = phase_cpu;
 
   // SAT verification results (present only when --verify ran): the
   // aggregate verdict plus one entry per checked sequence with its method

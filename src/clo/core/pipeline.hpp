@@ -38,8 +38,9 @@ struct PipelineConfig {
   TrainConfig surrogate_train;
   OptimizeParams optimize;
   std::uint64_t seed = 1;
-  /// Worker threads for dataset labeling, the nn kernels' tiled GEMM,
-  /// restarts, and validation. 1 = serial, 0 = hardware concurrency.
+  /// Worker threads for dataset labeling, restarts, and validation (the
+  /// one level of parallelism; each item runs serially on its worker).
+  /// 1 = serial, 0 = hardware concurrency.
   /// Every phase — surrogate training included — is bit-identical at any
   /// value.
   int threads = 1;
@@ -73,6 +74,14 @@ struct PipelineResult {
   double diffusion_train_seconds = 0.0;
   double optimize_seconds = 0.0;    ///< the Fig. 5 number
   double validate_seconds = 0.0;
+  // Process CPU seconds (user + system, every thread) spent in each of
+  // the same phases; CPU / wall is the phase's effective thread count. A
+  // phase restored from a checkpoint spent none in this process: 0.
+  double dataset_cpu_seconds = 0.0;
+  double surrogate_train_cpu_seconds = 0.0;
+  double diffusion_train_cpu_seconds = 0.0;
+  double optimize_cpu_seconds = 0.0;
+  double validate_cpu_seconds = 0.0;
   // All restart results (for distribution reporting).
   std::vector<OptimizeResult> restarts;
   std::vector<Qor> restart_qor;
@@ -86,10 +95,6 @@ struct PipelineResult {
   /// Pretraining phases restored from a checkpoint (0 = fresh run, 3 =
   /// dataset + surrogate + diffusion all resumed).
   int resumed_phases = 0;
-  /// Worker count the kernel layer's tiled GEMM could fan out over during
-  /// optimize (1 = serial). Informational only — bytes are identical at
-  /// any value by the kernel determinism contract.
-  int kernel_threads = 1;
   /// One SAT equivalence check per distinct surviving sequence (--verify).
   struct VerificationCheck {
     opt::Sequence sequence;
@@ -101,6 +106,7 @@ struct PipelineResult {
   /// "unknown" (worst individual verdict wins); empty when verify was off.
   std::string verify_verdict;
   double verify_seconds = 0.0;
+  double verify_cpu_seconds = 0.0;
 };
 
 class CloPipeline {

@@ -36,9 +36,8 @@ struct TrainReport {
 /// diffusion alike).
 inline constexpr int kMaxLrBackoffs = 6;
 
-/// Train `model` on the dataset with serial batched minibatches (the
-/// large matmuls may still tile over the registered kernel pool, which
-/// never changes a byte), so the result is identical at any thread count.
+/// Train `model` on the dataset with serial batched minibatches, so the
+/// result is identical at any thread count.
 /// `cancel` is polled once per minibatch; a fired token aborts training
 /// with util::CancelledError (the model is abandoned by the caller, so no
 /// partial-weight hazard).

@@ -5,15 +5,13 @@
 #include <string_view>
 
 #include "clo/nn/kernel_detail.hpp"
-#include "clo/util/thread_pool.hpp"
 
-// Portable blocked scalar kernels + the runtime dispatch layer + the tile
-// fan-out for the threaded GEMM. The AVX2 twins live in kernel_avx2.cpp
-// (compiled only when the toolchain supports -mavx2; CMake then defines
-// CLO_KERNEL_AVX2). Both kernel TUs are built with -ffp-contract=off so
-// no mul+add pair is ever fused into an FMA — fusion would break the
-// bitwise scalar/vector equality the dispatch contract promises (see
-// kernel.hpp).
+// Portable blocked scalar kernels + the runtime dispatch layer. The AVX2
+// twins live in kernel_avx2.cpp (compiled only when the toolchain supports
+// -mavx2; CMake then defines CLO_KERNEL_AVX2). Both kernel TUs are built
+// with -ffp-contract=off so no mul+add pair is ever fused into an FMA —
+// fusion would break the bitwise scalar/vector equality the dispatch
+// contract promises (see kernel.hpp).
 
 namespace clo::nn::kernel {
 
@@ -59,11 +57,6 @@ bool cpu_has_avx2_fma() {
 std::atomic<int>& target_state() {
   static std::atomic<int> state{static_cast<int>(best_supported_target())};
   return state;
-}
-
-std::atomic<clo::util::ThreadPool*>& pool_state() {
-  static std::atomic<clo::util::ThreadPool*> pool{nullptr};
-  return pool;
 }
 
 }  // namespace
@@ -144,28 +137,6 @@ bool simd_enabled() { return current_target() != Target::kScalar; }
 void set_simd_enabled(bool on) {
   set_target(on ? best_supported_target() : Target::kScalar);
 }
-
-// --- Thread-pool registration -------------------------------------------
-
-void set_thread_pool(clo::util::ThreadPool* pool) {
-  pool_state().store(pool, std::memory_order_relaxed);
-}
-
-clo::util::ThreadPool* thread_pool() {
-  return pool_state().load(std::memory_order_relaxed);
-}
-
-std::size_t threads() {
-  const clo::util::ThreadPool* pool = thread_pool();
-  if (pool == nullptr || pool->size() == 0) return 1;
-  return pool->size();
-}
-
-PoolGuard::PoolGuard(clo::util::ThreadPool* pool) : prev_(thread_pool()) {
-  set_thread_pool(pool);
-}
-
-PoolGuard::~PoolGuard() { set_thread_pool(prev_); }
 
 // --- Scalar reference kernels -------------------------------------------
 
@@ -286,7 +257,7 @@ void adam_update(float* p, float* m, float* v, const float* g, std::size_t n,
 /// Strided (leading-dimension) matmul: an [m,n] tile of the output with
 /// row stride ldo, fed by an A tile with row stride lda and a B tile with
 /// row stride ldb. The full matmul is matmul_ld with lda=k, ldb=n|k,
-/// ldo=n; the tiled fan-out slices the same call.
+/// ldo=n.
 void matmul_ld(const float* a, int lda, const float* b, int ldb, float* out,
                int ldo, int m, int k, int n, bool transpose_b) {
   if (!transpose_b) {
@@ -390,99 +361,15 @@ void adam_update(float* p, float* m, float* v, const float* g, std::size_t n,
       adam_update(p, m, v, g, n, beta1, beta2, lr, bias_c1, bias_c2, eps));
 }
 
-// --- Tiled GEMM fan-out -------------------------------------------------
-
-namespace {
-
-// Tile geometry is a pure function of the OUTPUT shape — never of the
-// thread count or pool size — so the grid (and with it every per-element
-// accumulation chain, each confined to one tile) is identical no matter
-// how many workers drain it. Row tiles keep a worker on contiguous output
-// rows; column tiles are a multiple of the vector paths' 32-column block.
-constexpr int kTileRows = 16;
-constexpr int kTileCols = 128;
-// Products under ~a quarter-million flops are not worth a fan-out: the
-// pool wake-up costs more than the multiply.
-constexpr long long kMinParallelFlops = 1LL << 18;
-
-void matmul_ld_dispatch(const float* a, int lda, const float* b, int ldb,
-                        float* out, int ldo, int m, int k, int n,
-                        bool transpose_b) {
-  CLO_KERNEL_DISPATCH(
-      matmul_ld(a, lda, b, ldb, out, ldo, m, k, n, transpose_b));
-}
-
-void matmul_ta_ld_dispatch(const float* a, int lda, const float* b, int ldb,
-                           float* out, int ldo, int m, int k, int n) {
-  CLO_KERNEL_DISPATCH(matmul_ta_ld(a, lda, b, ldb, out, ldo, m, k, n));
-}
-
-bool should_fan_out(int out_rows, int out_cols, long long flops,
-                    clo::util::ThreadPool* pool, int* row_tiles,
-                    int* col_tiles) {
-  *row_tiles = (out_rows + kTileRows - 1) / kTileRows;
-  *col_tiles = (out_cols + kTileCols - 1) / kTileCols;
-  if (pool == nullptr || pool->size() < 2) return false;
-  if (flops < kMinParallelFlops) return false;
-  if (static_cast<long long>(*row_tiles) * *col_tiles < 2) return false;
-  // Nested kernels on a pool worker run serially (parallel_tiles would
-  // degrade to serial anyway; skip the tile bookkeeping entirely).
-  if (clo::util::ThreadPool::on_worker_thread()) return false;
-  return true;
-}
-
-}  // namespace
-
 void matmul(const float* a, const float* b, float* out, int m, int k, int n,
             bool transpose_b) {
-  const int ldb = transpose_b ? k : n;
-  clo::util::ThreadPool* pool = thread_pool();
-  int row_tiles = 0, col_tiles = 0;
-  if (!should_fan_out(m, n, 2LL * m * k * n, pool, &row_tiles, &col_tiles)) {
-    matmul_ld_dispatch(a, k, b, ldb, out, n, m, k, n, transpose_b);
-    return;
-  }
-  clo::util::parallel_tiles(
-      pool, static_cast<std::size_t>(row_tiles) * col_tiles,
-      [&](std::size_t t) {
-        const int ti = static_cast<int>(t) / col_tiles;
-        const int tj = static_cast<int>(t) % col_tiles;
-        const int i0 = ti * kTileRows;
-        const int i1 = i0 + kTileRows < m ? i0 + kTileRows : m;
-        const int j0 = tj * kTileCols;
-        const int j1 = j0 + kTileCols < n ? j0 + kTileCols : n;
-        const float* at = a + static_cast<std::size_t>(i0) * k;
-        const float* bt = transpose_b ? b + static_cast<std::size_t>(j0) * k
-                                      : b + j0;
-        float* ot = out + static_cast<std::size_t>(i0) * n + j0;
-        matmul_ld_dispatch(at, k, bt, ldb, ot, n, i1 - i0, k, j1 - j0,
-                           transpose_b);
-      });
+  CLO_KERNEL_DISPATCH(
+      matmul_ld(a, k, b, transpose_b ? k : n, out, n, m, k, n, transpose_b));
 }
 
 void matmul_ta(const float* a, const float* b, float* out, int m, int k,
                int n) {
-  clo::util::ThreadPool* pool = thread_pool();
-  int row_tiles = 0, col_tiles = 0;
-  if (!should_fan_out(k, n, 2LL * m * k * n, pool, &row_tiles, &col_tiles)) {
-    matmul_ta_ld_dispatch(a, k, b, n, out, n, m, k, n);
-    return;
-  }
-  clo::util::parallel_tiles(
-      pool, static_cast<std::size_t>(row_tiles) * col_tiles,
-      [&](std::size_t t) {
-        const int tl = static_cast<int>(t) / col_tiles;
-        const int tj = static_cast<int>(t) % col_tiles;
-        const int l0 = tl * kTileRows;
-        const int l1 = l0 + kTileRows < k ? l0 + kTileRows : k;
-        const int j0 = tj * kTileCols;
-        const int j1 = j0 + kTileCols < n ? j0 + kTileCols : n;
-        // The tile's out rows l0..l1 read A columns l0..l1: offset a by
-        // the column, keep the full row stride.
-        matmul_ta_ld_dispatch(a + l0, k, b + j0, n,
-                              out + static_cast<std::size_t>(l0) * n + j0, n,
-                              m, l1 - l0, j1 - j0);
-      });
+  CLO_KERNEL_DISPATCH(matmul_ta_ld(a, k, b, n, out, n, m, k, n));
 }
 
 #undef CLO_KERNEL_DISPATCH

@@ -27,24 +27,15 @@
 // ~k·eps relative, which is why op-level tests compare against
 // double-precision references rather than the old scalar order.
 //
-// Threading: matmul/matmul_ta fan output tiles out over a registered
-// clo::util::ThreadPool (set_thread_pool / PoolGuard). The tile grid is a
-// pure function of the output shape — never of the thread count — and
-// every output element's accumulation chain is confined to one tile, so
-// tiling (and which worker computes which tile) cannot change a single
-// operation's order: results stay byte-identical at any thread count,
-// including the serial no-pool path. Small products and calls already on
-// a pool worker run serially.
+// Threading: none. Every kernel runs on the calling thread; parallelism
+// lives one level up, across labeled sequences, restarts and baseline
+// rounds (clo::util::ThreadPool), and never nests inside a kernel.
 //
 // All kernels tolerate unaligned pointers (tensor interiors are sliced at
 // arbitrary offsets); Tensor storage is 64-byte aligned purely as a
 // performance property.
 
 #include <cstddef>
-
-namespace clo::util {
-class ThreadPool;
-}  // namespace clo::util
 
 namespace clo::nn::kernel {
 
@@ -81,31 +72,6 @@ bool simd_supported();
 bool simd_enabled();
 /// on = best supported target, off = scalar (the legacy --no-simd toggle).
 void set_simd_enabled(bool on);
-
-// --- Threading ----------------------------------------------------------
-
-/// Register the pool matmul/matmul_ta fan tile work out on (process-global,
-/// relaxed-atomic). nullptr — the default — keeps every kernel serial.
-/// Registration only affects wall-clock, never bytes (see header note).
-void set_thread_pool(clo::util::ThreadPool* pool);
-/// The currently registered pool (nullptr when serial).
-clo::util::ThreadPool* thread_pool();
-/// Worker count the tiled GEMM can currently fan out over (1 = serial).
-std::size_t threads();
-
-/// RAII registration: sets the kernel pool for the guard's lifetime and
-/// restores the previous registration on destruction. The pipeline/bench
-/// layers wrap their pool acquisition in one of these.
-class PoolGuard {
- public:
-  explicit PoolGuard(clo::util::ThreadPool* pool);
-  ~PoolGuard();
-  PoolGuard(const PoolGuard&) = delete;
-  PoolGuard& operator=(const PoolGuard&) = delete;
-
- private:
-  clo::util::ThreadPool* prev_;
-};
 
 // --- Reductions (8-lane fixed-tree order) -------------------------------
 
@@ -150,15 +116,14 @@ void adam_update(float* p, float* m, float* v, const float* g, std::size_t n,
 /// Non-transposed: each out element is a sequential chain over l ascending
 /// (the vector paths block columns, which runs many chains in parallel
 /// without reassociating any of them). Transposed: each out element gets
-/// one full 8-lane-tree dot() added to it. Tiled over the registered
-/// thread pool when the product is large enough (see Threading above).
+/// one full 8-lane-tree dot() added to it.
 void matmul(const float* a, const float* b, float* out, int m, int k, int n,
             bool transpose_b);
 
 /// out[k,n] += Aᵀ · B, where A is [m,k] and B is [m,n] — the matmul
 /// backward dB kernel. Each out element is a sequential mul+add chain over
-/// the shared row index i ascending (exactly the accumulation order the
-/// autograd loop has used since PR 5). Tiled like matmul.
+/// the shared row index i ascending (exactly the accumulation order of
+/// the autograd loop it replaced).
 void matmul_ta(const float* a, const float* b, float* out, int m, int k,
                int n);
 

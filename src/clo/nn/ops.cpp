@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "clo/nn/kernel.hpp"
-#include "clo/util/thread_pool.hpp"
 
 namespace clo::nn {
 namespace {
@@ -235,8 +234,7 @@ Tensor matmul(const Tensor& a, const Tensor& b, bool transpose_b) {
         if (gb) {
           // Both transpose cases are one Aᵀ·B product accumulating over
           // the shared row index i ascending — exactly the axpy loop
-          // order this used before matmul_ta existed, now vectorized and
-          // tiled over the kernel thread pool.
+          // order this used before matmul_ta existed, now vectorized.
           if (transpose_b) {
             // dB[j,:] += gy[i,j] * A[i,:]  ⇒  dB = dYᵀ · A
             kernel::matmul_ta(self.grad.data(), pa->data.data(),
@@ -576,16 +574,10 @@ Tensor conv1d(const Tensor& x, const Tensor& weight, const Tensor& bias) {
   // kernel::matmul's transposed form computes exactly the 8-lane-tree dot
   // this op used since PR 3 (bias first, then one full tree-reduced dot
   // added to it), so values are unchanged — and identical on every
-  // dispatch target. Batch elements are independent (private patch
-  // buffer, disjoint output slab), so they fan out over the kernel thread
-  // pool; per-element bytes cannot depend on which worker ran them. The
-  // per-batch matmuls then run serially inside their worker (nested
-  // kernels degrade to serial by design).
+  // dispatch target.
   const int CK = Ci * K;
-  util::parallel_tiles(kernel::thread_pool(), static_cast<std::size_t>(B),
-                       [&](std::size_t bi) {
-    const int b = static_cast<int>(bi);
-    std::vector<float> patch(static_cast<std::size_t>(L) * CK);
+  std::vector<float> patch(static_cast<std::size_t>(L) * CK);
+  for (int b = 0; b < B; ++b) {
     for (int l = 0; l < L; ++l) {
       float* row = patch.data() + static_cast<std::size_t>(l) * CK;
       for (int ci = 0; ci < Ci; ++ci) {
@@ -604,7 +596,7 @@ Tensor conv1d(const Tensor& x, const Tensor& weight, const Tensor& bias) {
     }
     kernel::matmul(pw->data.data(), patch.data(), ob, Co, CK, L,
                    /*transpose_b=*/true);
-  });
+  }
   return out;
 }
 

@@ -6,6 +6,7 @@
 // alignment is a performance property, never a correctness requirement.
 
 #include <cstddef>
+#include <cstdlib>
 #include <new>
 #include <vector>
 
@@ -31,13 +32,15 @@ struct AlignedAllocator {
 
   T* allocate(std::size_t n) {
     if (n == 0) return nullptr;
-    return static_cast<T*>(
-        ::operator new(n * sizeof(T), std::align_val_t(Alignment)));
+    // aligned_alloc wants a size that is a multiple of the alignment.
+    const std::size_t bytes =
+        (n * sizeof(T) + Alignment - 1) & ~(Alignment - 1);
+    void* p = std::aligned_alloc(Alignment, bytes);
+    if (p == nullptr) throw std::bad_alloc();
+    return static_cast<T*>(p);
   }
 
-  void deallocate(T* p, std::size_t n) noexcept {
-    ::operator delete(p, n * sizeof(T), std::align_val_t(Alignment));
-  }
+  void deallocate(T* p, std::size_t) noexcept { std::free(p); }
 };
 
 template <typename T, typename U, std::size_t A>

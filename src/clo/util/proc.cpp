@@ -3,20 +3,14 @@
 #include <sys/resource.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <new>
 
 #include "clo/util/obs.hpp"
 
 namespace clo::util::proc {
 
 namespace {
-
-std::atomic<std::uint64_t> g_alloc_count{0};
-std::atomic<std::uint64_t> g_alloc_bytes{0};
 
 /// Parse "VmHWM:   12345 kB" style lines from /proc/self/status.
 std::uint64_t status_field_kb(const char* key) {
@@ -61,12 +55,14 @@ std::uint64_t current_rss_bytes() {
   return resident_pages * static_cast<std::uint64_t>(page > 0 ? page : 4096);
 }
 
-std::uint64_t alloc_count() {
-  return g_alloc_count.load(std::memory_order_relaxed);
-}
-
-std::uint64_t alloc_bytes() {
-  return g_alloc_bytes.load(std::memory_order_relaxed);
+double cpu_seconds() {
+  struct rusage ru {};
+  if (getrusage(RUSAGE_SELF, &ru) != 0) return 0.0;
+  auto seconds = [](const timeval& tv) {
+    return static_cast<double>(tv.tv_sec) +
+           static_cast<double>(tv.tv_usec) * 1e-6;
+  };
+  return seconds(ru.ru_utime) + seconds(ru.ru_stime);
 }
 
 void sample_into_registry() {
@@ -75,69 +71,6 @@ void sample_into_registry() {
                 static_cast<double>(peak_rss_bytes()));
   reg.set_gauge("proc.current_rss_bytes",
                 static_cast<double>(current_rss_bytes()));
-  reg.set_gauge("proc.alloc_count", static_cast<double>(alloc_count()));
-  reg.set_gauge("proc.alloc_bytes", static_cast<double>(alloc_bytes()));
 }
 
 }  // namespace clo::util::proc
-
-#if !defined(CLO_OBS_DISABLE)
-
-// ---------------------------------------------------------------------------
-// Global allocation counting. Replacing the four basic forms is enough —
-// the aligned and placement forms keep their default behavior (and simply
-// go uncounted). The counters are relaxed atomics: two uncontended
-// fetch_adds per allocation, invisible next to the allocation itself.
-// ASan/LSan still interpose malloc below us, so sanitized builds keep
-// their full checking.
-// ---------------------------------------------------------------------------
-
-namespace {
-
-void* counted_alloc(std::size_t size) {
-  clo::util::proc::g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  clo::util::proc::g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
-  if (size == 0) size = 1;
-  for (;;) {
-    if (void* p = std::malloc(size)) return p;
-    if (std::new_handler handler = std::get_new_handler()) {
-      handler();
-    } else {
-      throw std::bad_alloc();
-    }
-  }
-}
-
-}  // namespace
-
-void* operator new(std::size_t size) { return counted_alloc(size); }
-void* operator new[](std::size_t size) { return counted_alloc(size); }
-
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  try {
-    return counted_alloc(size);
-  } catch (...) {
-    return nullptr;
-  }
-}
-
-void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
-  try {
-    return counted_alloc(size);
-  } catch (...) {
-    return nullptr;
-  }
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-
-#endif  // !CLO_OBS_DISABLE

@@ -1,14 +1,9 @@
 #pragma once
-// Process resource sampling for the telemetry exporter: resident-set-size
-// readings from /proc (with a getrusage fallback) and global heap
-// allocation counters maintained by the operator new/delete replacements
-// in proc.cpp. Everything here is read-only with respect to the
+// Process resource sampling for the telemetry exporter and run reports:
+// resident-set-size readings from /proc (with a getrusage fallback) and
+// process CPU time. Everything here is read-only with respect to the
 // computation — sampling never touches an Rng, a lock shared with the hot
 // path, or any model state, so the determinism contract is unaffected.
-//
-// The allocation counters are two relaxed atomics bumped on every scalar /
-// array operator new; under -DCLO_OBS=OFF the replacements are compiled
-// out entirely and the accessors return 0.
 
 #include <cstdint>
 
@@ -22,18 +17,15 @@ std::uint64_t peak_rss_bytes();
 /// unavailable.
 std::uint64_t current_rss_bytes();
 
-/// Number of operator new / new[] calls since process start (0 when the
-/// counting replacements are compiled out under CLO_OBS_DISABLE).
-std::uint64_t alloc_count();
+/// User + system CPU seconds consumed by the whole process so far
+/// (getrusage(RUSAGE_SELF): every thread, finished or running). The
+/// difference over an interval divided by its wall time is the number of
+/// cores the process kept busy. 0 when getrusage fails.
+double cpu_seconds();
 
-/// Total bytes requested from operator new / new[] since process start.
-/// Requested, not resident: freed memory is never subtracted, making this
-/// a monotonic churn counter (rate = allocation pressure).
-std::uint64_t alloc_bytes();
-
-/// Set the "proc.*" gauges (peak/current RSS, alloc count/bytes) on the
-/// global metrics registry. Called by the exporter before each snapshot;
-/// callable directly for one-shot reports.
+/// Set the "proc.*" gauges (peak/current RSS) on the global metrics
+/// registry. Called by the exporter before each snapshot; callable
+/// directly for one-shot reports.
 void sample_into_registry();
 
 }  // namespace clo::util::proc

@@ -24,18 +24,6 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-void ThreadPool::post(std::function<void()> task) {
-  if (on_worker_thread()) {
-    task();
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    queue_.emplace_back(std::move(task));
-  }
-  cv_.notify_one();
-}
-
 bool ThreadPool::on_worker_thread() { return t_on_worker; }
 
 void ThreadPool::worker_loop() {

@@ -1,8 +1,9 @@
 #pragma once
 // Fixed-size worker pool with exception-propagating futures and
-// deterministic parallel_for / parallel_map helpers — the parallel
-// execution substrate for QoR labeling, surrogate training, latent
-// optimization restarts, and baseline candidate evaluation.
+// deterministic parallel_for / parallel_map helpers — the one level of
+// parallelism in the system: QoR labeling, latent optimization restarts,
+// validation, and baseline candidate evaluation. Work inside one item
+// (a synthesis run, an nn forward/backward) runs serially on its worker.
 //
 // Determinism contract: parallel_for(pool, n, fn) runs fn(0..n-1) with
 // results keyed by index, so any code whose per-item work is a pure
@@ -70,12 +71,6 @@ class ThreadPool {
     return result;
   }
 
-  /// Fire-and-forget enqueue: no future, no exception capture — the task
-  /// must not throw (completion and errors are tracked by the caller, see
-  /// parallel_tiles). Called from a worker thread of this pool, the task
-  /// runs inline like submit() does.
-  void post(std::function<void()> task);
-
   /// True when the calling thread is one of this pool's workers.
   static bool on_worker_thread();
 
@@ -138,67 +133,6 @@ void parallel_for(ThreadPool* pool, std::size_t n, Fn&& fn) {
   }
   for (auto& f : futures) f.get();
   if (*error) std::rethrow_exception(*error);
-}
-
-/// Low-overhead parallel_for variant for fine-grained fan-out (the nn
-/// kernel's tiled GEMM): one shared control block and fire-and-forget
-/// posts instead of per-task futures, and the CALLING thread also drains
-/// the index range, so a 2-tile problem never pays a wake-up latency for
-/// tile 0. Same determinism contract as parallel_for — fn(i) must be a
-/// pure function of (shared inputs, i) — and the same serial fallback
-/// (null/1-worker pool, n < 2, or already on a worker thread). Same
-/// abandonment semantics on error: the first exception is rethrown on the
-/// caller and later indices may never run.
-template <typename Fn>
-void parallel_tiles(ThreadPool* pool, std::size_t n, Fn&& fn) {
-  if (pool == nullptr || pool->size() < 2 || n < 2 ||
-      ThreadPool::on_worker_thread()) {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  struct Control {
-    std::atomic<std::size_t> cursor{0};
-    std::atomic<std::size_t> active{0};
-    std::atomic<bool> failed{false};
-    std::mutex mu;
-    std::condition_variable done;
-    std::exception_ptr error;
-  };
-  auto ctl = std::make_shared<Control>();
-  const std::size_t nn = n;
-  auto drain = [ctl, &fn, nn] {
-    for (;;) {
-      const std::size_t i = ctl->cursor.fetch_add(1);
-      if (i >= nn) return;
-      if (ctl->failed.load(std::memory_order_relaxed)) return;
-      try {
-        fn(i);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(ctl->mu);
-        if (!ctl->error) ctl->error = std::current_exception();
-        ctl->failed.store(true, std::memory_order_relaxed);
-        return;
-      }
-    }
-  };
-  // The caller takes one share of the range, so only n - 1 helpers are
-  // ever useful. `drain` captures fn by reference: safe because the wait
-  // below does not return until every posted helper has finished.
-  const std::size_t helpers = std::min(pool->size(), n - 1);
-  ctl->active.store(helpers, std::memory_order_relaxed);
-  for (std::size_t t = 0; t < helpers; ++t) {
-    pool->post([ctl, drain] {
-      drain();
-      std::lock_guard<std::mutex> lock(ctl->mu);
-      if (ctl->active.fetch_sub(1) == 1) ctl->done.notify_all();
-    });
-  }
-  drain();
-  {
-    std::unique_lock<std::mutex> lock(ctl->mu);
-    ctl->done.wait(lock, [&] { return ctl->active.load() == 0; });
-  }
-  if (ctl->error) std::rethrow_exception(ctl->error);
 }
 
 /// parallel_for that materializes results: out[i] = fn(i), in index order

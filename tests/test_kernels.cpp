@@ -1,5 +1,5 @@
 // clo::nn::kernel acceptance tests: the determinism contract (bitwise
-// parity for every kernel across every dispatch target, thread count, and
+// parity for every kernel across every dispatch target and every
 // awkward size; model-level forward parity; run-to-run stability),
 // numerical accuracy against double-precision references, the 64-byte
 // Tensor storage alignment the kernels assume for performance, the pinned
@@ -22,7 +22,6 @@
 #include "clo/nn/tensor.hpp"
 #include "clo/util/aligned.hpp"
 #include "clo/util/rng.hpp"
-#include "clo/util/thread_pool.hpp"
 
 namespace {
 
@@ -155,6 +154,10 @@ TEST_F(KernelTest, MatmulIsBitwiseIdenticalAcrossTargets) {
       {8, 24, 20},
       {33, 17, 65},
       {64, 64, 64},
+      {33, 47, 129},   // ragged in every dimension
+      {30, 160, 256},  // paper-scale batched restarts ([R, L*d] = [30, 160])
+      {16, 3, 300},    // wide and shallow
+      {257, 19, 17},   // tall and narrow
   };
   for (const auto& s : shapes) {
     const int m = s[0], k = s[1], n = s[2];
@@ -396,112 +399,6 @@ TEST_F(KernelTest, DispatchStateRoundTrips) {
   EXPECT_FALSE(kernel::parse_target("avx512", &parsed));
 }
 
-// --- Tiled GEMM determinism ----------------------------------------------
-//
-// The tile grid is a pure function of the output shape, so any worker
-// count — and any dispatch target — must reproduce the serial scalar
-// bytes exactly. The shapes below are chosen to cross the fan-out
-// threshold with ragged edge tiles (dimensions that are not multiples of
-// the 16x128 tile), and the batched U-Net/surrogate shape the paper-scale
-// run hits (30 restarts over [R, L*d] = [30, 160] activations).
-
-struct GemmShape {
-  int m, k, n;
-};
-const GemmShape kTiledShapes[] = {
-    {33, 47, 129},    // ragged in every dimension
-    {30, 160, 256},   // paper-scale batched restarts
-    {64, 64, 64},     // threshold boundary
-    {16, 3, 300},     // wide and shallow: many column tiles
-    {257, 19, 17},    // tall and narrow: many row tiles
-};
-
-TEST_F(KernelTest, TiledMatmulIsBitwiseIdenticalAcrossThreadCounts) {
-  Rng rng(12);
-  util::ThreadPool pool2(2), pool8(8);
-  for (const auto& s : kTiledShapes) {
-    for (bool tb : {false, true}) {
-      const auto a = random_buf(static_cast<std::size_t>(s.m) * s.k, rng);
-      const auto b = random_buf(static_cast<std::size_t>(s.k) * s.n, rng);
-      const auto o0 = random_buf(static_cast<std::size_t>(s.m) * s.n, rng);
-
-      AlignedFloats serial = o0;
-      {
-        kernel::PoolGuard guard(nullptr);
-        kernel::matmul(a.data(), b.data(), serial.data(), s.m, s.k, s.n, tb);
-      }
-      for (util::ThreadPool* pool : {&pool2, &pool8}) {
-        AlignedFloats threaded = o0;
-        kernel::PoolGuard guard(pool);
-        kernel::matmul(a.data(), b.data(), threaded.data(), s.m, s.k, s.n,
-                       tb);
-        EXPECT_TRUE(bitwise_equal(serial, threaded))
-            << s.m << "x" << s.k << "x" << s.n << " tb=" << tb
-            << " workers=" << pool->size();
-      }
-    }
-  }
-}
-
-TEST_F(KernelTest, TiledMatmulTaIsBitwiseIdenticalAcrossThreadCounts) {
-  Rng rng(13);
-  util::ThreadPool pool2(2), pool8(8);
-  for (const auto& s : kTiledShapes) {
-    const auto a = random_buf(static_cast<std::size_t>(s.m) * s.k, rng);
-    const auto b = random_buf(static_cast<std::size_t>(s.m) * s.n, rng);
-    const auto o0 = random_buf(static_cast<std::size_t>(s.k) * s.n, rng);
-
-    AlignedFloats serial = o0;
-    {
-      kernel::PoolGuard guard(nullptr);
-      kernel::matmul_ta(a.data(), b.data(), serial.data(), s.m, s.k, s.n);
-    }
-    for (util::ThreadPool* pool : {&pool2, &pool8}) {
-      AlignedFloats threaded = o0;
-      kernel::PoolGuard guard(pool);
-      kernel::matmul_ta(a.data(), b.data(), threaded.data(), s.m, s.k, s.n);
-      EXPECT_TRUE(bitwise_equal(serial, threaded))
-          << s.m << "x" << s.k << "x" << s.n << " workers=" << pool->size();
-    }
-  }
-}
-
-TEST_F(KernelTest, TiledMatmulIsBitwiseIdenticalAcrossAllTargets) {
-  const auto targets = SupportedTargets();
-  if (targets.size() < 2) GTEST_SKIP() << "scalar-only host";
-  Rng rng(14);
-  util::ThreadPool pool(4);
-  for (const auto& s : kTiledShapes) {
-    for (bool tb : {false, true}) {
-      const auto a = random_buf(static_cast<std::size_t>(s.m) * s.k, rng);
-      const auto b = random_buf(static_cast<std::size_t>(s.k) * s.n, rng);
-      const auto o0 = random_buf(static_cast<std::size_t>(s.m) * s.n, rng);
-
-      kernel::set_target(kernel::Target::kScalar);
-      AlignedFloats reference = o0;
-      {
-        kernel::PoolGuard guard(nullptr);
-        kernel::matmul(a.data(), b.data(), reference.data(), s.m, s.k, s.n,
-                       tb);
-      }
-      for (kernel::Target t : targets) {
-        kernel::set_target(t);
-        for (util::ThreadPool* p : {static_cast<util::ThreadPool*>(nullptr),
-                                    &pool}) {
-          AlignedFloats out = o0;
-          kernel::PoolGuard guard(p);
-          kernel::matmul(a.data(), b.data(), out.data(), s.m, s.k, s.n, tb);
-          EXPECT_TRUE(bitwise_equal(reference, out))
-              << s.m << "x" << s.k << "x" << s.n << " tb=" << tb
-              << " target=" << kernel::target_name(t)
-              << " threaded=" << (p != nullptr);
-        }
-      }
-      kernel::set_simd_enabled(true);
-    }
-  }
-}
-
 TEST_F(KernelTest, KernelsTolerateUnalignedTensorInteriorSlices) {
   // Tensor interiors are sliced at arbitrary element offsets (batch rows,
   // channel planes), so every kernel must accept pointers off the 64-byte
@@ -517,21 +414,15 @@ TEST_F(KernelTest, KernelsTolerateUnalignedTensorInteriorSlices) {
   AlignedFloats aligned_a(a, a + static_cast<std::size_t>(m) * k);
   AlignedFloats aligned_b(b, b + static_cast<std::size_t>(k) * n);
 
-  util::ThreadPool pool(4);
   for (kernel::Target t : SupportedTargets()) {
     kernel::set_target(t);
     AlignedFloats out_aligned(static_cast<std::size_t>(m) * n, 0.0f);
     kernel::matmul(aligned_a.data(), aligned_b.data(), out_aligned.data(), m,
                    k, n, false);
-    for (util::ThreadPool* p :
-         {static_cast<util::ThreadPool*>(nullptr), &pool}) {
-      kernel::PoolGuard guard(p);
-      AlignedFloats out(static_cast<std::size_t>(m) * n, 0.0f);
-      kernel::matmul(a, b, out.data(), m, k, n, false);
-      EXPECT_TRUE(bitwise_equal(out_aligned, out))
-          << "target=" << kernel::target_name(t)
-          << " threaded=" << (p != nullptr);
-    }
+    AlignedFloats out(static_cast<std::size_t>(m) * n, 0.0f);
+    kernel::matmul(a, b, out.data(), m, k, n, false);
+    EXPECT_TRUE(bitwise_equal(out_aligned, out))
+        << "target=" << kernel::target_name(t);
     EXPECT_EQ(kernel::dot(a, b, 100),
               kernel::dot(aligned_a.data(), aligned_b.data(), 100))
         << kernel::target_name(t);

@@ -319,6 +319,18 @@ TEST_F(ObsTest, PipelineSmokeWritesTraceAndReport) {
     ASSERT_NE(phases->find(phase), nullptr) << phase;
     EXPECT_GE(phases->find(phase)->as_double(), 0.0);
   }
+  // Process CPU seconds per phase, keyed exactly like phase_seconds. The
+  // run has two workers, so no phase keeps more than a few cores busy.
+  const auto* phase_cpu = report.find("phase_cpu_seconds");
+  ASSERT_NE(phase_cpu, nullptr);
+  ASSERT_EQ(phase_cpu->size(), phases->size());
+  for (const auto& [phase, wall] : phases->items()) {
+    const auto* cpu = phase_cpu->find(phase);
+    ASSERT_NE(cpu, nullptr) << phase;
+    EXPECT_GE(cpu->as_double(), 0.0) << phase;
+    EXPECT_LE(cpu->as_double(), 8.0 * wall.as_double() + 0.05) << phase;
+  }
+  EXPECT_GT(phase_cpu->find("diffusion_train")->as_double(), 0.0);
   const auto* evaluator = report.find("evaluator");
   ASSERT_NE(evaluator, nullptr);
   EXPECT_GT(evaluator->find("queries")->as_double(), 0.0);

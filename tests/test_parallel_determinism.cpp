@@ -1,13 +1,19 @@
 // Determinism acceptance tests for the parallel substrate: dataset
 // generation, surrogate training and latent optimization must be
 // bit-identical at any worker count (including the serial null-pool
-// path), and the evaluator must tolerate concurrent callers.
+// path), the evaluator must tolerate concurrent callers, and concurrent
+// synthesis runs must not slow each other down.
 
 #include <gtest/gtest.h>
 
+#include <time.h>
+
+#include <algorithm>
 #include <cstring>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "clo/circuits/generators.hpp"
 #include "clo/core/dataset.hpp"
@@ -17,8 +23,8 @@
 #include "clo/models/diffusion.hpp"
 #include "clo/models/embedding.hpp"
 #include "clo/models/surrogate.hpp"
-#include "clo/nn/kernel.hpp"
 #include "clo/nn/serialize.hpp"
+#include "clo/opt/transform.hpp"
 #include "clo/util/obs.hpp"
 #include "clo/util/thread_pool.hpp"
 
@@ -141,49 +147,54 @@ TEST(ParallelDeterminism, EvaluatorSingleFlightOnOneHotKey) {
   EXPECT_EQ(stats.cache_hits, got.size() - 1);
 }
 
-TEST(ParallelDeterminism, KernelPoolDoesNotPerturbOptimizerResults) {
-  // The kernel layer's tiled GEMM fan-out (PR 10) must never change
-  // retrieved bytes: the whole restart loop — U-Net denoise forwards,
-  // surrogate forwards, rounding — run with the kernel pool unset, then
-  // fanned over 2 and 8 workers, must match bit for bit. This is the
-  // model-level closure of the per-op tests in test_kernels.cpp.
-  const auto serial = run_restarts(nullptr);
-  for (std::size_t workers : {std::size_t{2}, std::size_t{8}}) {
-    util::ThreadPool pool(workers);
-    nn::kernel::PoolGuard guard(&pool);
-    const auto fanned = run_restarts(nullptr);
-    ASSERT_EQ(serial.size(), fanned.size());
-    for (std::size_t r = 0; r < serial.size(); ++r) {
-      EXPECT_EQ(serial[r].sequence, fanned[r].sequence)
-          << "restart " << r << " kernel workers " << workers;
-      ASSERT_EQ(serial[r].latent.size(), fanned[r].latent.size());
-      EXPECT_EQ(0, std::memcmp(serial[r].latent.data(),
-                               fanned[r].latent.data(),
-                               serial[r].latent.size() * sizeof(float)))
-          << "restart " << r << " kernel workers " << workers;
-      EXPECT_EQ(serial[r].discrepancy, fanned[r].discrepancy);
-      EXPECT_EQ(serial[r].predicted_objective,
-                fanned[r].predicted_objective);
-    }
-  }
+/// CPU seconds the calling thread has consumed so far.
+double thread_cpu_seconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         1e-9 * static_cast<double>(ts.tv_nsec);
 }
 
-TEST(ParallelDeterminism, KernelPoolComposesWithRestartPool) {
-  // Serve-style nesting: restarts fan out over the same pool the kernel
-  // layer is registered on. parallel_tiles detects calls already on a
-  // worker thread and degrades to serial — bytes must still match.
-  const auto serial = run_restarts(nullptr);
-  util::ThreadPool pool(4);
-  nn::kernel::PoolGuard guard(&pool);
-  const auto nested = run_restarts(&pool);
-  ASSERT_EQ(serial.size(), nested.size());
-  for (std::size_t r = 0; r < serial.size(); ++r) {
-    EXPECT_EQ(serial[r].sequence, nested[r].sequence) << "restart " << r;
-    EXPECT_EQ(0, std::memcmp(serial[r].latent.data(),
-                             nested[r].latent.data(),
-                             serial[r].latent.size() * sizeof(float)))
-        << "restart " << r;
+/// Run `seq` on a private copy of `g` and return this thread's CPU seconds.
+double synthesis_cpu_seconds(const aig::Aig& g, const opt::Sequence& seq) {
+  aig::Aig copy = g;
+  const double before = thread_cpu_seconds();
+  opt::run_sequence(copy, seq);
+  return thread_cpu_seconds() - before;
+}
+
+TEST(ParallelDeterminism, SynthesisCpuPerThreadDoesNotGrowWithThreads) {
+  // Threads that share no data must not slow each other down: the same
+  // synthesis run costs about the same CPU time alone as next to three
+  // concurrent copies. A process-wide contended hot spot on the synthesis
+  // path (such as a shared atomic bumped by every allocation) makes each
+  // thread's CPU time grow with the thread count. CPU time, unlike wall
+  // time, does not grow when the host has fewer free cores than threads,
+  // so the gate does not depend on the machine's load.
+  if (std::thread::hardware_concurrency() < 2) {
+    GTEST_SKIP() << "needs at least 2 hardware threads";
   }
+  const aig::Aig g = circuits::make_benchmark("c432");
+  const opt::Sequence seq = opt::parse_sequence("rs;rsz;rw;rs");
+  synthesis_cpu_seconds(g, seq);  // warm-up: page in the allocator's arenas
+
+  double alone = 0.0;
+  std::thread([&] { alone = synthesis_cpu_seconds(g, seq); }).join();
+
+  constexpr int kThreads = 4;
+  std::vector<double> concurrent(kThreads, 0.0);
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back(
+        [&, t] { concurrent[t] = synthesis_cpu_seconds(g, seq); });
+  }
+  for (auto& w : workers) w.join();
+  std::sort(concurrent.begin(), concurrent.end());
+  const double median = 0.5 * (concurrent[1] + concurrent[2]);
+  EXPECT_LE(median, 2.0 * alone)
+      << "alone " << alone << " s; concurrent " << concurrent[0] << " / "
+      << concurrent[1] << " / " << concurrent[2] << " / " << concurrent[3]
+      << " s";
 }
 
 /// Turns tracing + metrics on for one scope and restores the disabled

@@ -489,24 +489,18 @@ TEST_F(TelemetryTest, ProcSamplerReportsPlausibleValues) {
   EXPECT_GT(util::proc::current_rss_bytes(), 0u);
   EXPECT_LE(util::proc::current_rss_bytes(),
             util::proc::peak_rss_bytes() * 2);  // same order of magnitude
-#if !defined(CLO_OBS_DISABLE)
-  // The counted operator new is compiled out with the rest of obs.
-  const std::uint64_t count_before = util::proc::alloc_count();
-  const std::uint64_t bytes_before = util::proc::alloc_bytes();
-  {
-    std::vector<char> big(1 << 20);
-    EXPECT_NE(big.data(), nullptr);
+  // Process CPU time is monotone and advances while this thread spins.
+  const double cpu_before = util::proc::cpu_seconds();
+  EXPECT_GT(cpu_before, 0.0);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (util::proc::cpu_seconds() <= cpu_before &&
+         std::chrono::steady_clock::now() < deadline) {
   }
-  // The counters are global and monotone (other threads may add more).
-  EXPECT_GT(util::proc::alloc_count(), count_before);
-  EXPECT_GE(util::proc::alloc_bytes(), bytes_before + (1 << 20));
-#endif
+  EXPECT_GT(util::proc::cpu_seconds(), cpu_before);
   util::proc::sample_into_registry();
   const auto gauges = obs::Registry::instance().snapshot().gauges;
   EXPECT_GT(gauges.at("proc.peak_rss_bytes"), 0.0);
-#if !defined(CLO_OBS_DISABLE)
-  EXPECT_GT(gauges.at("proc.alloc_count"), 0.0);
-#endif
 }
 
 }  // namespace
