@@ -59,19 +59,23 @@ void BM_CutEnumeration(benchmark::State& state) {
 }
 BENCHMARK(BM_CutEnumeration)->Arg(4)->Arg(6);
 
-void BM_Pass(benchmark::State& state, opt::Transform t) {
+void BM_Pass(benchmark::State& state, opt::Transform t, const char* circuit) {
   for (auto _ : state) {
     state.PauseTiming();
-    aig::Aig g = circuits::make_benchmark("c2670");
+    aig::Aig g = circuits::make_benchmark(circuit);
     state.ResumeTiming();
     opt::apply_transform(g, t);
     benchmark::DoNotOptimize(g.num_ands());
   }
 }
-BENCHMARK_CAPTURE(BM_Pass, rewrite, opt::Transform::kRw);
-BENCHMARK_CAPTURE(BM_Pass, refactor, opt::Transform::kRf);
-BENCHMARK_CAPTURE(BM_Pass, resub, opt::Transform::kRs);
-BENCHMARK_CAPTURE(BM_Pass, balance, opt::Transform::kB);
+BENCHMARK_CAPTURE(BM_Pass, rewrite, opt::Transform::kRw, "c2670");
+BENCHMARK_CAPTURE(BM_Pass, refactor, opt::Transform::kRf, "c2670");
+BENCHMARK_CAPTURE(BM_Pass, resub, opt::Transform::kRs, "c2670");
+BENCHMARK_CAPTURE(BM_Pass, resub_zero, opt::Transform::kRsz, "c2670");
+// router is the circuit the serve benchmark's synthesis misses run on.
+BENCHMARK_CAPTURE(BM_Pass, resub_router, opt::Transform::kRs, "router");
+BENCHMARK_CAPTURE(BM_Pass, resub_zero_router, opt::Transform::kRsz, "router");
+BENCHMARK_CAPTURE(BM_Pass, balance, opt::Transform::kB, "c2670");
 
 void BM_TechMap(benchmark::State& state) {
   const aig::Aig g = circuits::make_benchmark("c5315");

@@ -211,6 +211,8 @@ std::vector<std::uint32_t> Aig::mffc_nodes(std::uint32_t n) {
   std::vector<std::uint32_t> result;
   if (!is_and(n)) return result;
   // Deref to expose the cone, then walk nodes whose refs dropped to zero.
+  // A pushed node's ref count is parked at -1 until the walk ends, which
+  // marks it as seen without searching `result` or `stack`.
   deref_count(n);
   std::vector<std::uint32_t> stack{n};
   while (!stack.empty()) {
@@ -220,13 +222,12 @@ std::vector<std::uint32_t> Aig::mffc_nodes(std::uint32_t n) {
     for (Lit f : {nodes_[v].f0, nodes_[v].f1}) {
       const std::uint32_t c = lit_node(f);
       if (is_and(c) && nodes_[c].nref == 0) {
-        if (std::find(result.begin(), result.end(), c) == result.end() &&
-            std::find(stack.begin(), stack.end(), c) == stack.end()) {
-          stack.push_back(c);
-        }
+        nodes_[c].nref = -1;
+        stack.push_back(c);
       }
     }
   }
+  for (std::size_t i = 1; i < result.size(); ++i) nodes_[result[i]].nref = 0;
   ref_restore(n);
   return result;
 }

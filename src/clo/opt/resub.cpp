@@ -1,5 +1,6 @@
 #include <algorithm>
-#include <unordered_map>
+#include <array>
+#include <stdexcept>
 
 #include "clo/aig/window.hpp"
 #include "clo/opt/passes.hpp"
@@ -9,45 +10,7 @@ namespace clo::opt {
 
 using aig::Aig;
 using aig::Lit;
-using aig::TruthTable;
-
-namespace {
-
-/// Truth tables of the root, the leaves, and every divisor over the cut
-/// leaves, computed from the current structure.
-struct WindowFunctions {
-  bool valid = false;
-  TruthTable root_tt;
-  std::vector<std::pair<std::uint32_t, TruthTable>> divisor_tts;
-};
-
-WindowFunctions compute_window(Aig& g, std::uint32_t root,
-                               const std::vector<std::uint32_t>& leaves,
-                               const std::vector<std::uint32_t>& divisors,
-                               int max_nodes) {
-  WindowFunctions w;
-  const auto root_tt =
-      aig::try_cone_truth_table(g, aig::make_lit(root), leaves, max_nodes);
-  if (!root_tt) return w;
-  w.root_tt = *root_tt;
-  const int k = static_cast<int>(leaves.size());
-  for (std::uint32_t d : divisors) {
-    // Leaves are their own variables; inner divisors are cone functions.
-    auto it = std::find(leaves.begin(), leaves.end(), d);
-    if (it != leaves.end()) {
-      w.divisor_tts.emplace_back(
-          d, TruthTable::variable(k, static_cast<int>(it - leaves.begin())));
-      continue;
-    }
-    const auto tt =
-        aig::try_cone_truth_table(g, aig::make_lit(d), leaves, max_nodes);
-    if (tt) w.divisor_tts.emplace_back(d, *tt);
-  }
-  w.valid = true;
-  return w;
-}
-
-}  // namespace
+using aig::WindowTable;
 
 PassStats resub(Aig& g, const ResubParams& params) {
   clo::Stopwatch watch;
@@ -57,6 +20,12 @@ PassStats resub(Aig& g, const ResubParams& params) {
   stats.nodes_before = g.num_ands();
   stats.depth_before = g.depth();
 
+  if (params.max_window_leaves > aig::kMaxWindowLeaves) {
+    throw std::invalid_argument("resub: max_window_leaves above 8");
+  }
+  aig::Window window;
+  // Each divisor's function and its complement, indexed [divisor][polarity].
+  std::vector<std::array<WindowTable, 2>> dv;
   const auto order = g.topo_order();
   for (std::uint32_t n : order) {
     if (!g.is_and(n)) continue;
@@ -72,18 +41,23 @@ PassStats resub(Aig& g, const ResubParams& params) {
       }
     }
     if (!leaves_ok) continue;
-    const auto divisors = aig::collect_divisors(g, n, leaves, params.max_divisors);
-    const auto window = compute_window(g, n, leaves, divisors, 400);
-    if (!window.valid) continue;
-    const TruthTable& target = window.root_tt;
+    if (!window.simulate(g, n, leaves, 400)) continue;
+    const auto& divisors = window.collect_divisors(g, params.max_divisors);
+    const WindowTable& mask = window.mask();
+    const WindowTable target = window.table(n);
+    const WindowTable not_target = target ^ mask;
+    dv.clear();
+    for (std::uint32_t d : divisors) {
+      const WindowTable& t = window.table(d);
+      dv.push_back({t, t ^ mask});
+    }
 
     bool replaced = false;
     // --- 0-resub: an existing node already computes the function. -------
-    for (const auto& [d, tt] : window.divisor_tts) {
-      if (d == n) continue;
+    for (std::size_t i = 0; i < dv.size(); ++i) {
       Lit with = aig::kLitNull;
-      if (tt == target) with = aig::make_lit(d);
-      else if (tt == ~target) with = aig::make_lit(d, true);
+      if (dv[i][0] == target) with = aig::make_lit(divisors[i]);
+      else if (dv[i][0] == not_target) with = aig::make_lit(divisors[i], true);
       if (with == aig::kLitNull) continue;
       if (mffc < std::max(min_gain, 1)) break;  // gain = mffc
       g.replace(n, with);
@@ -94,19 +68,16 @@ PassStats resub(Aig& g, const ResubParams& params) {
     if (replaced) continue;
 
     // --- 1-resub: AND/OR of two divisors (any polarities). --------------
-    const auto& dv = window.divisor_tts;
     for (std::size_t i = 0; i < dv.size() && !replaced; ++i) {
       for (std::size_t j = i + 1; j < dv.size() && !replaced; ++j) {
         for (int pol = 0; pol < 4 && !replaced; ++pol) {
-          const TruthTable a = (pol & 1) ? ~dv[i].second : dv[i].second;
-          const TruthTable b = (pol & 2) ? ~dv[j].second : dv[j].second;
-          const TruthTable conj = a & b;
+          const WindowTable conj = dv[i][pol & 1] & dv[j][(pol >> 1) & 1];
           bool out_compl;
           if (conj == target) out_compl = false;
-          else if (conj == ~target) out_compl = true;
+          else if (conj == not_target) out_compl = true;
           else continue;
-          const Lit la = aig::make_lit(dv[i].first, (pol & 1) != 0);
-          const Lit lb = aig::make_lit(dv[j].first, (pol & 2) != 0);
+          const Lit la = aig::make_lit(divisors[i], (pol & 1) != 0);
+          const Lit lb = aig::make_lit(divisors[j], (pol & 2) != 0);
           const int added = g.probe_and(la, lb) ? 0 : 1;
           if (mffc - added < min_gain) continue;  // cheap upper bound
           const Lit new_lit = aig::lit_notc(g.and_of(la, lb), out_compl);
@@ -139,17 +110,15 @@ PassStats resub(Aig& g, const ResubParams& params) {
         for (std::size_t c = b + 1; c < limit && !replaced; ++c) {
           if (c == a) continue;
           for (int pol = 0; pol < 8 && !replaced; ++pol) {
-            const TruthTable ta = (pol & 1) ? ~dv[a].second : dv[a].second;
-            const TruthTable tb = (pol & 2) ? ~dv[b].second : dv[b].second;
-            const TruthTable tc = (pol & 4) ? ~dv[c].second : dv[c].second;
-            const TruthTable f = ta & (tb | tc);
+            const WindowTable f = dv[a][pol & 1] & (dv[b][(pol >> 1) & 1] |
+                                                    dv[c][(pol >> 2) & 1]);
             bool out_compl;
             if (f == target) out_compl = false;
-            else if (f == ~target) out_compl = true;
+            else if (f == not_target) out_compl = true;
             else continue;
-            const Lit la = aig::make_lit(dv[a].first, (pol & 1) != 0);
-            const Lit lb = aig::make_lit(dv[b].first, (pol & 2) != 0);
-            const Lit lc = aig::make_lit(dv[c].first, (pol & 4) != 0);
+            const Lit la = aig::make_lit(divisors[a], (pol & 1) != 0);
+            const Lit lb = aig::make_lit(divisors[b], (pol & 2) != 0);
+            const Lit lc = aig::make_lit(divisors[c], (pol & 4) != 0);
             const std::size_t ands_before = g.num_ands();
             const Lit inner = g.or_of(lb, lc);
             const Lit top = g.and_of(la, inner);

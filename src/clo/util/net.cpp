@@ -10,6 +10,7 @@
 
 #include <cerrno>
 #include <chrono>
+#include <cstring>
 #include <mutex>
 
 namespace clo::util::net {
@@ -183,17 +184,20 @@ bool recv_line(int fd, std::string* line, int timeout_ms,
       return false;
     }
     if (n == 0) return false;  // EOF before a complete line
-    for (ssize_t i = 0; i < n; ++i) {
-      if (buf[i] == '\n') {
-        // A line-delimited protocol: anything after the newline belongs to
-        // the next request, but our callers strictly alternate
-        // request/response on one connection, so trailing bytes here would
-        // be a protocol violation; they are dropped.
-        return true;
-      }
-      line->push_back(buf[i]);
-      if (line->size() > max_len) return false;
-    }
+    // Append the chunk whole: growing the line a byte at a time would
+    // leave a caller that keeps it with up to twice the capacity it needs.
+    const std::size_t got = static_cast<std::size_t>(n);
+    const char* newline =
+        static_cast<const char*>(std::memchr(buf, '\n', got));
+    const std::size_t take =
+        newline != nullptr ? static_cast<std::size_t>(newline - buf) : got;
+    if (line->size() + take > max_len) return false;
+    line->append(buf, take);
+    // A line-delimited protocol: anything after the newline belongs to the
+    // next request, but our callers strictly alternate request/response on
+    // one connection, so trailing bytes here would be a protocol violation;
+    // they are dropped.
+    if (newline != nullptr) return true;
   }
 }
 

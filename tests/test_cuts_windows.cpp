@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <set>
+#include <stdexcept>
 
 #include "clo/aig/cuts.hpp"
 #include "clo/aig/simulate.hpp"
 #include "clo/aig/window.hpp"
 #include "clo/circuits/generators.hpp"
+#include "clo/sat/fuzz.hpp"
 #include "clo/util/rng.hpp"
 
 namespace {
@@ -133,9 +135,11 @@ TEST(ReconvergenceCut, GrowsBeyondFanins) {
 
 TEST(ConeNodes, TopologicalAndComplete) {
   Aig g = random_aig(8, 150, 4, 23);
+  Window window;
   for (std::uint32_t n : g.topo_order()) {
     const auto leaves = reconvergence_cut(g, n, 6);
-    const auto cone = cone_nodes(g, n, leaves);
+    ASSERT_TRUE(window.simulate(g, n, leaves, 1 << 20));
+    const auto& cone = window.cone();
     // Root included, leaves excluded, order topological.
     EXPECT_NE(std::find(cone.begin(), cone.end(), n), cone.end());
     for (std::uint32_t leaf : leaves) {
@@ -192,9 +196,11 @@ TEST(TryConeTt, MatchesExhaustiveSimulation) {
 
 TEST(Divisors, ExcludeMffcAndRoot) {
   Aig g = random_aig(8, 120, 4, 59);
+  Window window;
   for (std::uint32_t n : g.topo_order()) {
     const auto leaves = reconvergence_cut(g, n, 8);
-    const auto divisors = collect_divisors(g, n, leaves, 30);
+    ASSERT_TRUE(window.simulate(g, n, leaves, 1 << 20));
+    const auto divisors = window.collect_divisors(g, 30);
     const auto mffc = g.mffc_nodes(n);
     for (std::uint32_t d : divisors) {
       EXPECT_NE(d, n);
@@ -204,6 +210,185 @@ TEST(Divisors, ExcludeMffcAndRoot) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Window simulation against the reference cone extraction
+// ---------------------------------------------------------------------------
+
+/// The window's table of `node` equals the reference table word for word;
+/// words past the reference's (k < 8) and bits past 2^k (k < 6) are zero.
+void expect_same_table(const Window& window, std::uint32_t node,
+                       const TruthTable& expected) {
+  const WindowTable& t = window.table(node);
+  const auto& words = expected.words();
+  for (std::size_t i = 0; i < 4; ++i) {
+    const std::uint64_t want = i < words.size() ? words[i] : 0;
+    EXPECT_EQ(t.w[i], want) << "node " << node << " word " << i << " k "
+                            << expected.num_vars();
+  }
+}
+
+/// The cone walk of the original hash-set implementation, kept as the
+/// reference for the order of Window::cone().
+std::vector<std::uint32_t> reference_cone(
+    const Aig& g, std::uint32_t root,
+    const std::vector<std::uint32_t>& leaves) {
+  const std::set<std::uint32_t> leaf_set(leaves.begin(), leaves.end());
+  std::set<std::uint32_t> visited;
+  std::vector<std::uint32_t> order;
+  std::vector<std::pair<std::uint32_t, int>> stack{{root, 0}};
+  while (!stack.empty()) {
+    auto [n, phase] = stack.back();
+    stack.pop_back();
+    if (phase == 1) {
+      order.push_back(n);
+    } else if (!visited.count(n) && !leaf_set.count(n) && g.is_and(n)) {
+      visited.insert(n);
+      stack.emplace_back(n, 1);
+      stack.emplace_back(lit_node(g.fanin0(n)), 0);
+      stack.emplace_back(lit_node(g.fanin1(n)), 0);
+    }
+  }
+  return order;
+}
+
+/// Checks one window: accepted exactly when try_cone_truth_table succeeds,
+/// and then the root, every divisor and every cone node carry the
+/// reference table. Returns whether the window was accepted.
+bool check_window(Aig& g, Window& window, std::uint32_t root,
+                  const std::vector<std::uint32_t>& leaves, int max_nodes) {
+  const auto expected = try_cone_truth_table(g, make_lit(root), leaves,
+                                             max_nodes);
+  const bool accepted = window.simulate(g, root, leaves, max_nodes);
+  EXPECT_EQ(accepted, expected.has_value()) << "root " << root;
+  if (!accepted || !expected) return false;
+  expect_same_table(window, root, *expected);
+  EXPECT_EQ(window.cone(), reference_cone(g, root, leaves)) << "root " << root;
+  for (std::uint32_t d : window.collect_divisors(g, 40)) {
+    const auto tt = try_cone_truth_table(g, make_lit(d), leaves, max_nodes);
+    EXPECT_TRUE(tt.has_value()) << "divisor " << d;
+    if (tt) expect_same_table(window, d, *tt);
+  }
+  return true;
+}
+
+std::vector<std::uint32_t> pi_nodes(const Aig& g) {
+  std::vector<std::uint32_t> pis;
+  for (std::size_t i = 0; i < g.num_pis(); ++i) pis.push_back(g.pi_node(i));
+  std::sort(pis.begin(), pis.end());
+  return pis;
+}
+
+TEST(Window, MatchesConeTruthTableOnReconvergenceCuts) {
+  Window window;  // one window reused across graphs, as a pass reuses it
+  std::set<std::size_t> leaf_counts;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    clo::Rng rng(seed);
+    Aig g = clo::sat::random_aig(rng, 6 + 3 * static_cast<int>(seed % 4), 300,
+                                 4);
+    for (std::uint32_t n : g.topo_order()) {
+      for (int max_leaves = 1; max_leaves <= kMaxWindowLeaves; ++max_leaves) {
+        const auto leaves = reconvergence_cut(g, n, max_leaves);
+        if (check_window(g, window, n, leaves, 400)) {
+          leaf_counts.insert(leaves.size());
+        }
+      }
+    }
+  }
+  for (std::size_t k = 2; k <= kMaxWindowLeaves; ++k) {
+    EXPECT_TRUE(leaf_counts.count(k)) << "no window with " << k << " leaves";
+  }
+}
+
+TEST(Window, MatchesConeTruthTableOverAllInputs) {
+  // Windows bounded by every PI cover each leaf count 2..8, the tail
+  // masking below 6 leaves, and (with a small node budget) rejection by
+  // size.
+  Window window;
+  for (int k = 2; k <= kMaxWindowLeaves; ++k) {
+    // Few inputs fold many ANDs away; draw until enough survive.
+    clo::Rng rng(100 + k);
+    Aig g = clo::sat::random_aig(rng, k, 60, 3);
+    while (g.num_ands() < 8) g = clo::sat::random_aig(rng, k, 60, 3);
+    const auto pis = pi_nodes(g);
+    ASSERT_EQ(pis.size(), static_cast<std::size_t>(k));
+    int accepted = 0;
+    int rejected = 0;
+    for (std::uint32_t n : g.topo_order()) {
+      (check_window(g, window, n, pis, 1 << 20) ? accepted : rejected)++;
+      (check_window(g, window, n, pis, 6) ? accepted : rejected)++;
+    }
+    EXPECT_GT(accepted, 0) << "k " << k;
+    EXPECT_GT(rejected, 0) << "k " << k;
+  }
+}
+
+TEST(Window, RejectsEscapedConesExactlyLikeReference) {
+  Window window;
+  int escaped = 0;
+  int accepted = 0;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    clo::Rng rng(200 + seed);
+    Aig g = clo::sat::random_aig(rng, 10, 150, 4);
+    for (std::uint32_t n : g.topo_order()) {
+      auto leaves = reconvergence_cut(g, n, 8);
+      // Drop one leaf: the cone escapes unless the leaf was redundant.
+      if (leaves.size() > 1) {
+        leaves.erase(leaves.begin() +
+                     static_cast<std::ptrdiff_t>(
+                         rng.next_below(leaves.size())));
+      }
+      (check_window(g, window, n, leaves, 400) ? accepted : escaped)++;
+    }
+  }
+  EXPECT_GT(escaped, 0);
+  EXPECT_GT(accepted, 0);
+}
+
+TEST(Window, ConstantFaninsAndSingleLeaf) {
+  // z = AND(y, a) with y replaced by const 1: z's cone reaches the
+  // const-0 node (complemented) inside a one-leaf window.
+  Aig g;
+  const Lit a = g.add_pi();
+  const Lit b = g.add_pi();
+  const Lit y = g.and_of(a, b);
+  const Lit z = g.and_of(y, a);
+  g.add_po(z);
+  g.replace(lit_node(y), kLitTrue);
+  Window window;
+  EXPECT_TRUE(check_window(g, window, lit_node(z), {lit_node(a)}, 400));
+  // With const 0 as a leaf it is a variable like any other leaf.
+  EXPECT_TRUE(check_window(g, window, lit_node(z), {0, lit_node(a)}, 400));
+
+  // Random graphs with nodes replaced by constants and not cleaned up.
+  int with_const_leaf = 0;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    clo::Rng rng(300 + seed);
+    Aig r = clo::sat::random_aig(rng, 8, 120, 4);
+    const auto order = r.topo_order();
+    for (int i = 0; i < 6; ++i) {
+      const std::uint32_t victim = order[rng.next_below(order.size())];
+      if (!r.is_and(victim)) continue;
+      r.replace(victim, rng.next_bool() ? kLitTrue : kLitFalse);
+    }
+    const auto pis = pi_nodes(r);
+    for (std::uint32_t n : r.topo_order()) {
+      check_window(r, window, n, pis, 1 << 20);
+      const auto leaves = reconvergence_cut(r, n, 8);
+      if (!leaves.empty() && leaves[0] == 0) ++with_const_leaf;
+      check_window(r, window, n, leaves, 400);
+    }
+  }
+  EXPECT_GT(with_const_leaf, 0);
+}
+
+TEST(Window, MoreThanEightLeavesThrows) {
+  clo::Rng rng(7);
+  Aig g = clo::sat::random_aig(rng, 9, 40, 1);
+  Window window;
+  EXPECT_THROW(window.simulate(g, lit_node(g.po(0)), pi_nodes(g), 400),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -155,11 +155,15 @@ double thread_cpu_seconds() {
          1e-9 * static_cast<double>(ts.tv_nsec);
 }
 
-/// Run `seq` on a private copy of `g` and return this thread's CPU seconds.
-double synthesis_cpu_seconds(const aig::Aig& g, const opt::Sequence& seq) {
-  aig::Aig copy = g;
+/// Run `seq` `rounds` times, each on a private copy of `g`, and return
+/// this thread's CPU seconds.
+double synthesis_cpu_seconds(const aig::Aig& g, const opt::Sequence& seq,
+                             int rounds) {
   const double before = thread_cpu_seconds();
-  opt::run_sequence(copy, seq);
+  for (int r = 0; r < rounds; ++r) {
+    aig::Aig copy = g;
+    opt::run_sequence(copy, seq);
+  }
   return thread_cpu_seconds() - before;
 }
 
@@ -174,27 +178,37 @@ TEST(ParallelDeterminism, SynthesisCpuPerThreadDoesNotGrowWithThreads) {
   if (std::thread::hardware_concurrency() < 2) {
     GTEST_SKIP() << "needs at least 2 hardware threads";
   }
+  // Rewriting and refactoring allocate at a high rate (per-cut truth
+  // tables, synthesized candidates), so a contended allocation path shows
+  // up here. The lone thread repeats the sequence until it has used 0.3 s
+  // of CPU; each concurrent thread then runs as many rounds.
   const aig::Aig g = circuits::make_benchmark("c432");
-  const opt::Sequence seq = opt::parse_sequence("rs;rsz;rw;rs");
-  synthesis_cpu_seconds(g, seq);  // warm-up: page in the allocator's arenas
+  const opt::Sequence seq = opt::parse_sequence("rw;rf;rwz;rfz");
+  synthesis_cpu_seconds(g, seq, 1);  // warm-up: page in the allocator's arenas
 
+  int rounds = 0;
   double alone = 0.0;
-  std::thread([&] { alone = synthesis_cpu_seconds(g, seq); }).join();
+  std::thread([&] {
+    while (alone < 0.3) {
+      alone += synthesis_cpu_seconds(g, seq, 1);
+      ++rounds;
+    }
+  }).join();
 
   constexpr int kThreads = 4;
   std::vector<double> concurrent(kThreads, 0.0);
   std::vector<std::thread> workers;
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back(
-        [&, t] { concurrent[t] = synthesis_cpu_seconds(g, seq); });
+        [&, t] { concurrent[t] = synthesis_cpu_seconds(g, seq, rounds); });
   }
   for (auto& w : workers) w.join();
   std::sort(concurrent.begin(), concurrent.end());
   const double median = 0.5 * (concurrent[1] + concurrent[2]);
   EXPECT_LE(median, 2.0 * alone)
-      << "alone " << alone << " s; concurrent " << concurrent[0] << " / "
-      << concurrent[1] << " / " << concurrent[2] << " / " << concurrent[3]
-      << " s";
+      << rounds << " rounds; alone " << alone << " s; concurrent "
+      << concurrent[0] << " / " << concurrent[1] << " / " << concurrent[2]
+      << " / " << concurrent[3] << " s";
 }
 
 /// Turns tracing + metrics on for one scope and restores the disabled

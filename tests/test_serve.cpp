@@ -730,4 +730,31 @@ TEST(ServeClient, RequestLineTimeoutIsEndToEndWallClock) {
   ::close(listener);
 }
 
+TEST(ServeClient, RecvLineJoinsChunksAndKeepsTightCapacity) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  std::string line;
+  // A line longer than one 4 KB read arrives whole.
+  const std::string long_line(10000, 'a');
+  ASSERT_TRUE(util::net::send_all(fds[1], long_line + "\n"));
+  ASSERT_TRUE(util::net::recv_line(fds[0], &line, 3000));
+  EXPECT_EQ(line, long_line);
+  // A kept line holds about its own size, not a doubled buffer.
+  const std::string response(241, 'r');
+  ASSERT_TRUE(util::net::send_all(fds[1], response + "\n"));
+  std::string kept;
+  ASSERT_TRUE(util::net::recv_line(fds[0], &kept, 3000));
+  EXPECT_EQ(kept, response);
+  EXPECT_LT(kept.capacity(), 300u);
+  // The cap admits a line of exactly max_len and rejects one byte more.
+  ASSERT_TRUE(util::net::send_all(fds[1], std::string(8, 'b') + "\n"));
+  EXPECT_TRUE(util::net::recv_line(fds[0], &line, 3000, /*max_len=*/8));
+  EXPECT_EQ(line, std::string(8, 'b'));
+  ASSERT_TRUE(util::net::send_all(fds[1], std::string(9, 'c') + "\n"));
+  EXPECT_FALSE(util::net::recv_line(fds[0], &line, 3000, /*max_len=*/8));
+  ::close(fds[0]);
+  ::close(fds[1]);
+}
+
+
 }  // namespace
