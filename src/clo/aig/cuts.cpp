@@ -28,21 +28,26 @@ bool merge_cuts(const Cut& a, const Cut& b, int k, Cut& out) {
   return true;
 }
 
-CutSet::CutSet(const Aig& g, const CutParams& params) {
-  cuts_.resize(g.num_slots());
-  // Constant node and PIs: trivial cut only.
-  cuts_[0].push_back(Cut{{0}});
-  for (std::size_t i = 0; i < g.num_pis(); ++i) {
-    cuts_[g.pi_node(i)].push_back(Cut{{g.pi_node(i)}});
-  }
-  for (std::uint32_t n : g.topo_order()) {
-    const auto& c0 = cuts_[lit_node(g.fanin0(n))];
-    const auto& c1 = cuts_[lit_node(g.fanin1(n))];
-    std::vector<Cut> result;
+const std::vector<Cut>& CutSet::cuts_of(std::uint32_t node) {
+  // Grow before taking any reference into memo_: compute() adds no nodes,
+  // so the references it holds stay valid. After replace() a fanin's id can
+  // exceed its fanout's, hence num_slots() rather than node + 1.
+  if (memo_.size() < g_.num_slots()) memo_.resize(g_.num_slots());
+  return compute(node);
+}
+
+const std::vector<Cut>& CutSet::compute(std::uint32_t n) {
+  if (!memo_[n].empty()) return memo_[n];
+  std::vector<Cut> result;
+  if (!g_.is_and(n)) {
+    result.push_back(Cut{{n}});
+  } else {
+    const auto& c0 = compute(lit_node(g_.fanin0(n)));
+    const auto& c1 = compute(lit_node(g_.fanin1(n)));
     Cut merged;
     for (const Cut& a : c0) {
       for (const Cut& b : c1) {
-        if (!merge_cuts(a, b, params.max_leaves, merged)) continue;
+        if (!merge_cuts(a, b, kCutLeaves, merged)) continue;
         // Drop if dominated by an existing cut; drop existing dominated.
         bool dominated = false;
         for (const Cut& c : result) {
@@ -57,16 +62,14 @@ CutSet::CutSet(const Aig& g, const CutParams& params) {
       }
     }
     // Priority: prefer fewer leaves (cheaper to match / rewrite).
-    std::sort(result.begin(), result.end(),
-              [](const Cut& a, const Cut& b) {
-                return a.leaves.size() < b.leaves.size();
-              });
-    if (static_cast<int>(result.size()) > params.max_cuts) {
-      result.resize(params.max_cuts);
-    }
-    if (params.keep_trivial) result.push_back(Cut{{n}});
-    cuts_[n] = std::move(result);
+    std::sort(result.begin(), result.end(), [](const Cut& a, const Cut& b) {
+      return a.leaves.size() < b.leaves.size();
+    });
+    if (static_cast<int>(result.size()) > max_cuts_) result.resize(max_cuts_);
+    result.push_back(Cut{{n}});
   }
+  memo_[n] = std::move(result);
+  return memo_[n];
 }
 
 }  // namespace clo::aig

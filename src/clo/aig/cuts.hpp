@@ -1,13 +1,20 @@
 #pragma once
-// K-feasible cut enumeration (priority cuts), used by the rewriting pass
-// (k = 4) and by the technology mapper (k = 4..6 cell matching).
+// K-feasible priority cuts (k = kCutLeaves), shared by the rewriting pass
+// and the technology mapper.
 
 #include <cstdint>
 #include <vector>
 
 #include "clo/aig/aig.hpp"
+#include "clo/aig/window.hpp"
 
 namespace clo::aig {
+
+/// Leaves per cut. The mapper packs a cut function into 16 bits, and a
+/// cut's cone is simulated in an aig::Window.
+inline constexpr int kCutLeaves = 4;
+static_assert(kCutLeaves <= 4, "cut functions are packed into 16 bits");
+static_assert(kCutLeaves <= kMaxWindowLeaves, "cut cones fill a Window");
 
 /// A cut: sorted leaf node indices. The trivial cut {n} is always present.
 struct Cut {
@@ -19,24 +26,24 @@ struct Cut {
   bool dominates(const Cut& o) const;
 };
 
-struct CutParams {
-  int max_leaves = 4;     ///< k
-  int max_cuts = 8;       ///< priority cuts kept per node
-  bool keep_trivial = true;
-};
-
-/// Per-node cut sets for all live AND nodes (indexed by node id;
-/// PIs get their trivial cut). Nodes not in the PO cones get empty sets.
+/// Per-node cut sets, computed on demand. The first request for a node
+/// derives its cuts from its *current* fanins and memoizes them; a caller
+/// that edits the graph visits nodes in a topological-order snapshot, so a
+/// memoized node's fanins never change afterwards. Non-AND nodes (const 0,
+/// PIs) have only their trivial cut; an AND node keeps at most `max_cuts`
+/// cuts, fewest leaves first, followed by its trivial cut.
 class CutSet {
  public:
-  CutSet(const Aig& g, const CutParams& params);
+  CutSet(const Aig& g, int max_cuts) : g_(g), max_cuts_(max_cuts) {}
 
-  const std::vector<Cut>& cuts_of(std::uint32_t node) const {
-    return cuts_[node];
-  }
+  const std::vector<Cut>& cuts_of(std::uint32_t node);
 
  private:
-  std::vector<std::vector<Cut>> cuts_;
+  const std::vector<Cut>& compute(std::uint32_t node);
+
+  const Aig& g_;
+  int max_cuts_;
+  std::vector<std::vector<Cut>> memo_;  ///< empty = not computed yet
 };
 
 /// Merge two cuts; returns false if the union exceeds k leaves.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <unordered_map>
 
 namespace clo::aig {
 
@@ -59,49 +58,6 @@ std::vector<TruthTable> po_truth_tables(const Aig& g) {
   out.reserve(g.num_pos());
   for (std::size_t i = 0; i < g.num_pos(); ++i) out.push_back(lit_value(g.po(i)));
   return out;
-}
-
-TruthTable cone_truth_table(const Aig& g, Lit root,
-                            const std::vector<std::uint32_t>& leaves) {
-  const int k = static_cast<int>(leaves.size());
-  if (k > 16) throw std::invalid_argument("cone_truth_table: cut too large");
-  std::unordered_map<std::uint32_t, TruthTable> value;
-  for (int i = 0; i < k; ++i) {
-    value.emplace(leaves[i], TruthTable::variable(k, i));
-  }
-  // Iterative post-order evaluation of the cone.
-  std::vector<std::pair<std::uint32_t, int>> stack{{lit_node(root), 0}};
-  while (!stack.empty()) {
-    auto& [n, phase] = stack.back();
-    if (value.count(n)) {
-      stack.pop_back();
-      continue;
-    }
-    if (n == 0) {
-      value.emplace(n, TruthTable::constant(k, false));
-      stack.pop_back();
-      continue;
-    }
-    if (g.is_pi(n)) {
-      throw std::logic_error("cone_truth_table: reached PI not in leaves");
-    }
-    if (phase == 0) {
-      phase = 1;
-      const std::uint32_t c0 = lit_node(g.fanin0(n));
-      const std::uint32_t c1 = lit_node(g.fanin1(n));
-      stack.emplace_back(c0, 0);  // may reallocate: n/phase now dangle
-      stack.emplace_back(c1, 0);
-    } else {
-      auto val_of = [&](Lit l) {
-        const TruthTable& t = value.at(lit_node(l));
-        return lit_is_compl(l) ? ~t : t;
-      };
-      value.emplace(n, val_of(g.fanin0(n)) & val_of(g.fanin1(n)));
-      stack.pop_back();
-    }
-  }
-  const TruthTable& t = value.at(lit_node(root));
-  return lit_is_compl(root) ? ~t : t;
 }
 
 CecResult cec(const Aig& a, const Aig& b, clo::Rng& rng, int random_words,

@@ -23,11 +23,6 @@ std::vector<bool> simulate(const Aig& g, const std::vector<bool>& pi_values);
 /// Exhaustive truth tables of all POs (requires num_pis <= 16).
 std::vector<TruthTable> po_truth_tables(const Aig& g);
 
-/// Truth table of `root` over the given `leaves` (cut/window function).
-/// All paths from `root` to PIs must pass through `leaves`.
-TruthTable cone_truth_table(const Aig& g, Lit root,
-                            const std::vector<std::uint32_t>& leaves);
-
 /// Result of an equivalence check.
 struct CecResult {
   bool equivalent = true;

@@ -1,5 +1,6 @@
 #include "clo/aig/truth.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <stdexcept>
 
@@ -43,6 +44,13 @@ TruthTable TruthTable::variable(int num_vars, int var) {
       if ((i / stride) & 1) t.words_[i] = ~0ULL;
     }
   }
+  t.mask_tail();
+  return t;
+}
+
+TruthTable TruthTable::from_words(int num_vars, const std::uint64_t* words) {
+  TruthTable t(num_vars);
+  std::copy(words, words + t.words_.size(), t.words_.begin());
   t.mask_tail();
   return t;
 }

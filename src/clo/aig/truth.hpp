@@ -1,7 +1,10 @@
 #pragma once
 // Bit-parallel truth tables over up to 16 variables, plus the
-// Minato-Morreale irredundant sum-of-products (ISOP) computation used by
-// the refactoring and rewriting passes to re-synthesize cut functions.
+// Minato-Morreale irredundant sum-of-products (ISOP). Passes simulate cone
+// functions in an aig::Window (at most 8 leaves, inline words) and read
+// them out as TruthTables to re-synthesize them (opt::synthesize_into,
+// ISOP based) or to match cells (the mapper); po_truth_tables uses the
+// full 16 variables for exhaustive equivalence checks.
 
 #include <cstdint>
 #include <string>
@@ -19,6 +22,9 @@ class TruthTable {
   static TruthTable constant(int num_vars, bool value);
   /// Elementary table of variable `var` over `num_vars` variables.
   static TruthTable variable(int num_vars, int var);
+  /// Table whose words are the first words() of `words`; bits past 2^n
+  /// are cleared.
+  static TruthTable from_words(int num_vars, const std::uint64_t* words);
 
   int num_vars() const { return num_vars_; }
   std::size_t num_bits() const { return std::size_t{1} << num_vars_; }

@@ -187,6 +187,12 @@ bool Window::simulate(const Aig& g, std::uint32_t root,
   return true;
 }
 
+TruthTable Window::truth(Lit l) const {
+  const WindowTable& t = table(lit_node(l));
+  const WindowTable v = lit_is_compl(l) ? t ^ mask_ : t;
+  return TruthTable::from_words(static_cast<int>(leaves_.size()), v.w);
+}
+
 const std::vector<std::uint32_t>& Window::collect_divisors(Aig& g,
                                                            int max_divisors) {
   for (std::uint32_t n : g.mffc_nodes(root_)) mffc_stamp_[n] = epoch_;

@@ -1,8 +1,9 @@
 #pragma once
-// Reconvergence-driven cut computation (Mishchenko-style): grows a cut of
-// bounded width around a root node by greedily expanding the leaf whose
-// expansion increases the leaf count the least. Used by refactoring (cone
-// collapse) and resubstitution (windowing + divisor collection).
+// Cone windows shared by every pass that needs a cone's function: the
+// reconvergence-driven cut (Mishchenko-style) that bounds refactoring and
+// resubstitution windows, and aig::Window, which simulates a root's cone
+// over its leaves. Rewriting, refactoring, resubstitution and the
+// technology mapper all take cone functions from Window.
 
 #include <cstdint>
 #include <optional>
@@ -22,8 +23,9 @@ std::vector<std::uint32_t> reconvergence_cut(const Aig& g, std::uint32_t root,
 
 /// Bounded cone function extraction: truth table of `root_lit` over
 /// `leaves`, or nullopt if the cone escapes the leaves (reaches a PI or
-/// const outside them — possible after unrelated graph edits) or visits
-/// more than `max_nodes` internal nodes.
+/// dead node outside them — possible after unrelated graph edits) or
+/// visits more than `max_nodes` internal nodes. A hash map of heap tables:
+/// no pass calls it; it is the reference the Window tests compare against.
 std::optional<TruthTable> try_cone_truth_table(
     const Aig& g, Lit root_lit, const std::vector<std::uint32_t>& leaves,
     int max_nodes);
@@ -55,8 +57,8 @@ struct WindowTable {
   }
 };
 
-/// A resubstitution window: the cone of a root bounded by its leaves, the
-/// function of every cone node over the leaves, and the divisor
+/// A window: the cone of a root bounded by its leaves, the function of
+/// every cone node over the leaves, and (for resubstitution) the divisor
 /// candidates. A pass keeps one Window and rebuilds it node after node;
 /// node-indexed stamp arrays stand in for hash sets and every buffer keeps
 /// its capacity, so a rebuild allocates only while the graph grows.
@@ -82,6 +84,9 @@ class Window {
   const WindowTable& table(std::uint32_t node) const {
     return tables_[slot_[node]];
   }
+  /// Function of `l` (a leaf or cone node, maybe complemented) as a
+  /// TruthTable over the k leaves of the last successful simulate().
+  TruthTable truth(Lit l) const;
   /// The 2^k valid minterms: the complement of `t` is `t ^ mask()`.
   const WindowTable& mask() const { return mask_; }
   /// Internal nodes of the cone, root last, in topological order.

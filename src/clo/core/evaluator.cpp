@@ -10,9 +10,8 @@
 
 namespace clo::core {
 
-QorEvaluator::QorEvaluator(aig::Aig circuit, techmap::MapParams map_params)
-    : circuit_(std::move(circuit)), lib_(techmap::CellLibrary::asap7()),
-      map_params_(map_params) {}
+QorEvaluator::QorEvaluator(aig::Aig circuit)
+    : circuit_(std::move(circuit)), lib_(techmap::CellLibrary::asap7()) {}
 
 QorEvaluator::Shard& QorEvaluator::shard_for(const std::string& key) {
   return shards_[std::hash<std::string>{}(key) % kNumShards];
@@ -69,12 +68,11 @@ Qor QorEvaluator::evaluate(const opt::Sequence& seq,
     // Report the Pareto endpoints, like ABC's map + area recovery: the
     // area of an area-oriented cover and the delay of a delay-oriented
     // cover.
-    techmap::MapParams area_params = map_params_;
-    area_params.objective = techmap::MapParams::Objective::kArea;
-    techmap::MapParams delay_params = map_params_;
-    delay_params.objective = techmap::MapParams::Objective::kDelay;
-    const auto area_mapped = techmap::tech_map(g, lib_, area_params);
-    const auto delay_mapped = techmap::tech_map(g, lib_, delay_params);
+    using Objective = techmap::MapParams::Objective;
+    const auto area_mapped =
+        techmap::tech_map(g, lib_, {.objective = Objective::kArea});
+    const auto delay_mapped =
+        techmap::tech_map(g, lib_, {.objective = Objective::kDelay});
     // Keep the better cover per metric: area flow is a heuristic, so
     // either objective can occasionally win on the other's metric.
     qor = Qor{std::min(area_mapped.area_um2, delay_mapped.area_um2),

@@ -53,8 +53,7 @@ struct EvaluatorStats {
 
 class QorEvaluator {
  public:
-  explicit QorEvaluator(aig::Aig circuit,
-                        techmap::MapParams map_params = {});
+  explicit QorEvaluator(aig::Aig circuit);
 
   /// Synthesize with `seq` and map; memoized per distinct sequence.
   /// Safe to call concurrently (see thread-safety contract above).
@@ -94,7 +93,6 @@ class QorEvaluator {
 
   aig::Aig circuit_;
   techmap::CellLibrary lib_;
-  techmap::MapParams map_params_;
   std::array<Shard, kNumShards> shards_;
   std::atomic<std::uint64_t> synth_ns_{0};
   std::atomic<std::size_t> num_runs_{0};

@@ -23,26 +23,20 @@ struct PassStats {
   double seconds = 0.0;
 };
 
+// Each pass has one setting; its bounds are fixed constants in its source
+// (rewrite: 4-leaf cuts, 8 per node, 64-node cones; refactor: 8-leaf
+// reconvergence cuts, 400-node cones; resub: 8-leaf windows, 40 divisors,
+// the first 16 of them for 2-resub).
 struct RewriteParams {
   bool zero_cost = false;  ///< accept gain == 0 moves (ABC's -z)
-  int cut_leaves = 4;
-  int max_cuts_per_node = 8;
 };
 
 struct RefactorParams {
   bool zero_cost = false;
-  int max_cone_leaves = 8;
-  int max_cone_nodes = 400;
 };
 
 struct ResubParams {
   bool zero_cost = false;
-  int max_window_leaves = 8;
-  int max_divisors = 40;
-  /// Also attempt 2-resub (n = d1 op (d2 op d3)), bounded to the first
-  /// `max_two_level_divisors` divisors. Needs MFFC >= 3 to gain.
-  bool two_level = true;
-  int max_two_level_divisors = 16;
 };
 
 /// Depth-oriented AND-tree rebalancing (ABC's `balance`).

@@ -8,6 +8,12 @@ namespace clo::opt {
 using aig::Aig;
 using aig::Lit;
 
+namespace {
+
+constexpr int kMaxConeNodes = 400;
+
+}  // namespace
+
 PassStats refactor(Aig& g, const RefactorParams& params) {
   clo::Stopwatch watch;
   watch.start();
@@ -16,12 +22,13 @@ PassStats refactor(Aig& g, const RefactorParams& params) {
   stats.nodes_before = g.num_ands();
   stats.depth_before = g.depth();
 
+  aig::Window window;
   const auto order = g.topo_order();
   for (std::uint32_t n : order) {
     if (!g.is_and(n)) continue;
     const int mffc = g.mffc_size(n);
     if (mffc < 2 && !params.zero_cost) continue;  // nothing to collapse
-    const auto leaves = aig::reconvergence_cut(g, n, params.max_cone_leaves);
+    const auto leaves = aig::reconvergence_cut(g, n, aig::kMaxWindowLeaves);
     if (leaves.size() < 3) continue;
     bool leaves_ok = true;
     for (std::uint32_t leaf : leaves) {
@@ -31,13 +38,12 @@ PassStats refactor(Aig& g, const RefactorParams& params) {
       }
     }
     if (!leaves_ok) continue;
-    const auto tt = aig::try_cone_truth_table(g, aig::make_lit(n), leaves,
-                                              params.max_cone_nodes);
-    if (!tt) continue;
+    if (!window.simulate(g, n, leaves, kMaxConeNodes)) continue;
+    const auto tt = window.truth(aig::make_lit(n));
     std::vector<Lit> leaf_lits;
     leaf_lits.reserve(leaves.size());
     for (std::uint32_t leaf : leaves) leaf_lits.push_back(aig::make_lit(leaf));
-    const auto cand = synthesize_into(g, *tt, leaf_lits);
+    const auto cand = synthesize_into(g, tt, leaf_lits);
     // Recompute MFFC after building so strash reuse of soon-to-die nodes
     // cannot inflate the gain (the candidate now references them).
     const int gain = g.mffc_size(n) - cand.added_nodes;

@@ -1,6 +1,5 @@
 #include <algorithm>
 #include <array>
-#include <stdexcept>
 
 #include "clo/aig/window.hpp"
 #include "clo/opt/passes.hpp"
@@ -12,6 +11,15 @@ using aig::Aig;
 using aig::Lit;
 using aig::WindowTable;
 
+namespace {
+
+constexpr int kMaxConeNodes = 400;
+constexpr int kMaxDivisors = 40;
+/// 2-resub (n = d1 op (d2 op d3)) tries only the first divisors.
+constexpr std::size_t kMaxTwoLevelDivisors = 16;
+
+}  // namespace
+
 PassStats resub(Aig& g, const ResubParams& params) {
   clo::Stopwatch watch;
   watch.start();
@@ -20,9 +28,6 @@ PassStats resub(Aig& g, const ResubParams& params) {
   stats.nodes_before = g.num_ands();
   stats.depth_before = g.depth();
 
-  if (params.max_window_leaves > aig::kMaxWindowLeaves) {
-    throw std::invalid_argument("resub: max_window_leaves above 8");
-  }
   aig::Window window;
   // Each divisor's function and its complement, indexed [divisor][polarity].
   std::vector<std::array<WindowTable, 2>> dv;
@@ -31,7 +36,7 @@ PassStats resub(Aig& g, const ResubParams& params) {
     if (!g.is_and(n)) continue;
     const int mffc = g.mffc_size(n);
     const int min_gain = params.zero_cost ? 0 : 1;
-    const auto leaves = aig::reconvergence_cut(g, n, params.max_window_leaves);
+    const auto leaves = aig::reconvergence_cut(g, n, aig::kMaxWindowLeaves);
     if (leaves.empty()) continue;
     bool leaves_ok = true;
     for (std::uint32_t leaf : leaves) {
@@ -41,8 +46,8 @@ PassStats resub(Aig& g, const ResubParams& params) {
       }
     }
     if (!leaves_ok) continue;
-    if (!window.simulate(g, n, leaves, 400)) continue;
-    const auto& divisors = window.collect_divisors(g, params.max_divisors);
+    if (!window.simulate(g, n, leaves, kMaxConeNodes)) continue;
+    const auto& divisors = window.collect_divisors(g, kMaxDivisors);
     const WindowTable& mask = window.mask();
     const WindowTable target = window.table(n);
     const WindowTable not_target = target ^ mask;
@@ -95,15 +100,14 @@ PassStats resub(Aig& g, const ResubParams& params) {
         }
       }
     }
-    if (replaced || !params.two_level) continue;
+    if (replaced) continue;
 
     // --- 2-resub: n = da & (db | dc), all polarities, output maybe
     // complemented. Adds up to 2 nodes, so only worthwhile for MFFC >= 3
     // (or >= 2 in zero-cost mode).
     const int need = params.zero_cost ? 2 : 3;
     if (mffc < need) continue;
-    const std::size_t limit =
-        std::min<std::size_t>(dv.size(), params.max_two_level_divisors);
+    const std::size_t limit = std::min(dv.size(), kMaxTwoLevelDivisors);
     for (std::size_t a = 0; a < limit && !replaced; ++a) {
       for (std::size_t b = 0; b < limit && !replaced; ++b) {
         if (b == a) continue;

@@ -1,5 +1,4 @@
 #include <algorithm>
-#include <unordered_map>
 
 #include "clo/aig/cuts.hpp"
 #include "clo/aig/window.hpp"
@@ -16,55 +15,8 @@ using aig::TruthTable;
 
 namespace {
 
-// Lazy per-pass cut computation: cuts are derived from the *current* fanins
-// when a node is first visited and memoized. Processing nodes in a topo
-// order snapshot guarantees a memoized node's structure never changes
-// afterwards (replacements only touch strictly later nodes).
-class LazyCuts {
- public:
-  LazyCuts(Aig& g, int k, int max_cuts) : g_(g), k_(k), max_cuts_(max_cuts) {}
-
-  const std::vector<Cut>& cuts_of(std::uint32_t n) {
-    auto it = memo_.find(n);
-    if (it != memo_.end()) return it->second;
-    std::vector<Cut> result;
-    if (!g_.is_and(n)) {
-      result.push_back(Cut{{n}});
-    } else {
-      const auto& c0 = cuts_of(aig::lit_node(g_.fanin0(n)));
-      const auto& c1 = cuts_of(aig::lit_node(g_.fanin1(n)));
-      Cut merged;
-      for (const Cut& a : c0) {
-        for (const Cut& b : c1) {
-          if (!aig::merge_cuts(a, b, k_, merged)) continue;
-          bool dominated = false;
-          for (const Cut& c : result) {
-            if (c.dominates(merged)) {
-              dominated = true;
-              break;
-            }
-          }
-          if (dominated) continue;
-          std::erase_if(result,
-                        [&](const Cut& c) { return merged.dominates(c); });
-          result.push_back(merged);
-        }
-      }
-      std::sort(result.begin(), result.end(), [](const Cut& a, const Cut& b) {
-        return a.leaves.size() < b.leaves.size();
-      });
-      if (static_cast<int>(result.size()) > max_cuts_) result.resize(max_cuts_);
-      result.push_back(Cut{{n}});
-    }
-    return memo_.emplace(n, std::move(result)).first->second;
-  }
-
- private:
-  Aig& g_;
-  int k_;
-  int max_cuts_;
-  std::unordered_map<std::uint32_t, std::vector<Cut>> memo_;
-};
+constexpr int kMaxCutsPerNode = 8;
+constexpr int kMaxConeNodes = 64;
 
 }  // namespace
 
@@ -76,7 +28,8 @@ PassStats rewrite(Aig& g, const RewriteParams& params) {
   stats.nodes_before = g.num_ands();
   stats.depth_before = g.depth();
 
-  LazyCuts cuts(g, params.cut_leaves, params.max_cuts_per_node);
+  aig::CutSet cuts(g, kMaxCutsPerNode);
+  aig::Window window;
   const auto order = g.topo_order();
   struct Scored {
     int estimated_gain;
@@ -100,13 +53,13 @@ PassStats rewrite(Aig& g, const RewriteParams& params) {
         }
       }
       if (!leaves_ok) continue;
-      auto tt = aig::try_cone_truth_table(g, aig::make_lit(n), cut.leaves, 64);
-      if (!tt) continue;
+      if (!window.simulate(g, n, cut.leaves, kMaxConeNodes)) continue;
+      TruthTable tt = window.truth(aig::make_lit(n));
       // Pessimistic estimate (ignores strash sharing): allow slack that
       // sharing may recover during the exact evaluation below.
-      const int est = mffc - estimate_cost(*tt);
+      const int est = mffc - estimate_cost(tt);
       if (est < min_gain - 3) continue;
-      scored.push_back(Scored{est, std::move(*tt), &cut});
+      scored.push_back(Scored{est, std::move(tt), &cut});
     }
     std::sort(scored.begin(), scored.end(),
               [](const Scored& a, const Scored& b) {

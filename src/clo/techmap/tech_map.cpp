@@ -7,12 +7,12 @@
 #include <limits>
 #include <ostream>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
-#include "clo/aig/truth.hpp"
-
 #include "clo/aig/cuts.hpp"
-#include "clo/aig/simulate.hpp"
+#include "clo/aig/truth.hpp"
+#include "clo/aig/window.hpp"
 
 namespace clo::techmap {
 
@@ -24,6 +24,8 @@ using aig::TruthTable;
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+/// Priority cuts kept per node (4-leaf cuts, aig::kCutLeaves).
+constexpr int kMaxCutsPerNode = 12;
 
 struct Choice {
   int cell_index = -1;               ///< -1 = unresolved, -2 = wire
@@ -41,7 +43,7 @@ struct NodeCost {
 
 /// Reduce `tt` to its support variables; fills `support` with the indices
 /// of participating variables and returns the packed bits of the reduced
-/// function (over support.size() <= 4 variables).
+/// function (over support.size() <= aig::kCutLeaves <= 4 variables).
 std::uint16_t reduce_support(const TruthTable& tt, std::vector<int>& support) {
   support.clear();
   for (int v = 0; v < tt.num_vars(); ++v) {
@@ -64,11 +66,8 @@ std::uint16_t reduce_support(const TruthTable& tt, std::vector<int>& support) {
 MappingResult tech_map(const Aig& g, const CellLibrary& lib,
                        const MapParams& params) {
   const bool delay_oriented = params.objective == MapParams::Objective::kDelay;
-  aig::CutParams cut_params;
-  cut_params.max_leaves = params.cut_leaves;
-  cut_params.max_cuts = params.max_cuts;
-  cut_params.keep_trivial = true;
-  const aig::CutSet cuts(g, cut_params);
+  aig::CutSet cuts(g, kMaxCutsPerNode);
+  aig::Window window;
 
   std::vector<NodeCost> cost(g.num_slots());
   const Cell& inv = lib.inverter();
@@ -103,7 +102,11 @@ MappingResult tech_map(const Aig& g, const CellLibrary& lib,
     NodeCost& c = cost[n];
     for (const Cut& cut : cuts.cuts_of(n)) {
       if (cut.leaves.size() == 1 && cut.leaves[0] == n) continue;  // trivial
-      const TruthTable tt = aig::cone_truth_table(g, aig::make_lit(n), cut.leaves);
+      // A cut's cone never leaves the cut in a well-formed graph.
+      if (!window.simulate(g, n, cut.leaves, std::numeric_limits<int>::max())) {
+        throw std::logic_error("tech_map: cut cone escapes its leaves");
+      }
+      const TruthTable tt = window.truth(aig::make_lit(n));
       std::vector<int> support;
       const std::uint16_t bits = reduce_support(tt, support);
       const int m = static_cast<int>(support.size());

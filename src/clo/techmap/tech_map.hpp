@@ -20,8 +20,6 @@ struct MapParams {
   /// tie-break), kArea picks min-area-flow matches (arrival tie-break).
   enum class Objective { kDelay, kArea };
   Objective objective = Objective::kDelay;
-  int cut_leaves = 4;
-  int max_cuts = 12;
   /// Record the full instance list (needed for write_verilog).
   bool keep_netlist = false;
 };

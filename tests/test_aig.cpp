@@ -4,6 +4,7 @@
 
 #include "clo/aig/aig.hpp"
 #include "clo/aig/simulate.hpp"
+#include "clo/aig/window.hpp"
 #include "clo/util/rng.hpp"
 
 namespace {
@@ -312,8 +313,10 @@ TEST(Simulate, ConeTruthTable) {
   const Lit x = g.and_of(a, b);
   const Lit y = g.and_of(x, lit_not(c));
   g.add_po(y);
-  const auto tt = cone_truth_table(
-      g, y, {lit_node(a), lit_node(b), lit_node(c)});
+  Window window;
+  ASSERT_TRUE(window.simulate(g, lit_node(y),
+                              {lit_node(a), lit_node(b), lit_node(c)}, 10));
+  const auto tt = window.truth(y);
   // y = a & b & !c
   for (int m = 0; m < 8; ++m) {
     const bool expected = (m & 1) && (m & 2) && !(m & 4);

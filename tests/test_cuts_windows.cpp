@@ -58,9 +58,7 @@ TEST(Cuts, Domination) {
 
 TEST(Cuts, EveryCutIsValid) {
   const Aig g = random_aig(8, 120, 4, 99);
-  CutParams params;
-  params.max_leaves = 4;
-  const CutSet cuts(g, params);
+  CutSet cuts(g, 8);
   int checked = 0;
   for (std::uint32_t n : g.topo_order()) {
     for (const Cut& cut : cuts.cuts_of(n)) {
@@ -75,8 +73,7 @@ TEST(Cuts, EveryCutIsValid) {
 
 TEST(Cuts, TrivialCutPresent) {
   const Aig g = random_aig(6, 40, 2, 5);
-  CutParams params;
-  const CutSet cuts(g, params);
+  CutSet cuts(g, 8);
   for (std::uint32_t n : g.topo_order()) {
     const auto& set = cuts.cuts_of(n);
     const bool has_trivial =
@@ -89,10 +86,7 @@ TEST(Cuts, TrivialCutPresent) {
 
 TEST(Cuts, DirectFaninCutPresent) {
   const Aig g = random_aig(6, 60, 3, 6);
-  CutParams params;
-  params.max_leaves = 4;
-  params.max_cuts = 8;
-  const CutSet cuts(g, params);
+  CutSet cuts(g, 8);
   for (std::uint32_t n : g.topo_order()) {
     // Some cut of <= 2 leaves must match the node (fanins or dominated).
     const auto& set = cuts.cuts_of(n);
@@ -102,6 +96,70 @@ TEST(Cuts, DirectFaninCutPresent) {
         });
     EXPECT_TRUE(has_small) << "node " << n;
   }
+}
+
+TEST(Cuts, RequestOrderDoesNotChangeCuts) {
+  // Reverse topological order makes every first request recurse down to
+  // the inputs; the memoized result must not depend on that.
+  const Aig g = random_aig(8, 150, 4, 31);
+  const auto order = g.topo_order();
+  for (int max_cuts : {8, 12}) {
+    CutSet forward(g, max_cuts);
+    CutSet backward(g, max_cuts);
+    for (auto it = order.rbegin(); it != order.rend(); ++it) {
+      backward.cuts_of(*it);
+    }
+    for (std::uint32_t n : order) {
+      EXPECT_EQ(forward.cuts_of(n), backward.cuts_of(n)) << "node " << n;
+    }
+  }
+}
+
+TEST(Cuts, FollowCurrentFaninsAfterEdits) {
+  Aig g = random_aig(8, 150, 4, 37);
+  const auto order = g.topo_order();
+  CutSet cuts(g, 8);
+  // Memoize the first half, as a pass does before it starts editing.
+  const std::size_t half = order.size() / 2;
+  for (std::size_t i = 0; i < half; ++i) cuts.cuts_of(order[i]);
+
+  // A node added after construction: its id is past the memo's size.
+  const std::size_t slots_before = g.num_slots();
+  const Lit added = g.and_of(make_lit(order[0]), make_lit(order[1], true));
+  ASSERT_GE(lit_node(added), slots_before);
+  // Redirect nodes of the second half to fresh nodes, so their fanouts
+  // get a fanin with a larger id than their own.
+  std::vector<std::uint32_t> redirected;
+  for (std::size_t i = half; i < order.size() && redirected.size() < 5;
+       i += 7) {
+    const std::uint32_t n = order[i];
+    if (!g.is_and(n) || g.nrefs(n) == 0) continue;
+    const Lit with = g.and_of(g.fanin1(n), lit_not(g.fanin0(n)));
+    if (lit_node(with) == n || g.reaches(with, n, {})) continue;
+    g.replace(n, with);
+    for (std::uint32_t f : g.fanouts(lit_node(with))) {
+      if (f < lit_node(with)) redirected.push_back(f);
+    }
+  }
+  ASSERT_FALSE(redirected.empty());
+
+  // Request those first, before a larger id has grown the memo; then every
+  // live node's cuts match a set built on the edited graph (replacements
+  // only touched nodes later than the memoized half).
+  CutSet fresh(g, 8);
+  for (std::uint32_t f : redirected) {
+    if (!g.is_and(f)) continue;
+    EXPECT_EQ(cuts.cuts_of(f), fresh.cuts_of(f)) << "node " << f;
+  }
+  for (std::uint32_t n : g.topo_order()) {
+    EXPECT_EQ(cuts.cuts_of(n), fresh.cuts_of(n)) << "node " << n;
+    for (const Cut& cut : cuts.cuts_of(n)) {
+      EXPECT_TRUE(is_cut(g, n, cut.leaves)) << "node " << n;
+    }
+  }
+  const auto& added_cuts = cuts.cuts_of(lit_node(added));
+  EXPECT_EQ(added_cuts, fresh.cuts_of(lit_node(added)));
+  EXPECT_EQ(added_cuts.back(), Cut{{lit_node(added)}});
 }
 
 TEST(ReconvergenceCut, IsValidCutWithinBound) {
@@ -254,8 +312,9 @@ std::vector<std::uint32_t> reference_cone(
 }
 
 /// Checks one window: accepted exactly when try_cone_truth_table succeeds,
-/// and then the root, every divisor and every cone node carry the
-/// reference table. Returns whether the window was accepted.
+/// and then the root (also read as a TruthTable, both polarities), every
+/// divisor and every cone node carry the reference table. Returns whether
+/// the window was accepted.
 bool check_window(Aig& g, Window& window, std::uint32_t root,
                   const std::vector<std::uint32_t>& leaves, int max_nodes) {
   const auto expected = try_cone_truth_table(g, make_lit(root), leaves,
@@ -264,6 +323,8 @@ bool check_window(Aig& g, Window& window, std::uint32_t root,
   EXPECT_EQ(accepted, expected.has_value()) << "root " << root;
   if (!accepted || !expected) return false;
   expect_same_table(window, root, *expected);
+  EXPECT_EQ(window.truth(make_lit(root)), *expected) << "root " << root;
+  EXPECT_EQ(window.truth(make_lit(root, true)), ~*expected) << "root " << root;
   EXPECT_EQ(window.cone(), reference_cone(g, root, leaves)) << "root " << root;
   for (std::uint32_t d : window.collect_divisors(g, 40)) {
     const auto tt = try_cone_truth_table(g, make_lit(d), leaves, max_nodes);

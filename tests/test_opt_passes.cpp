@@ -301,29 +301,4 @@ TEST(Passes, TwoLevelResubFindsAndOrStructure) {
   EXPECT_LE(g.num_ands(), before);
 }
 
-TEST(Passes, TwoLevelResubCanBeDisabled) {
-  Aig g1 = circuits::make_benchmark("c2670");
-  Aig g2 = g1;
-  opt::ResubParams with;
-  opt::ResubParams without;
-  without.two_level = false;
-  const auto s1 = opt::resub(g1, with);
-  const auto s2 = opt::resub(g2, without);
-  EXPECT_GE(s1.accepted_moves, s2.accepted_moves);
-  EXPECT_LE(g1.num_ands(), g2.num_ands());
-}
-
-TEST(Passes, ResubRejectsWindowsAboveEightLeaves) {
-  // Windows are simulated into inline 8-leaf tables; a larger window is a
-  // caller error, not a slower fallback.
-  Aig g = circuits::make_benchmark("c432");
-  const std::size_t before = g.num_ands();
-  opt::ResubParams params;
-  params.max_window_leaves = 9;
-  EXPECT_THROW(opt::resub(g, params), std::invalid_argument);
-  EXPECT_EQ(g.num_ands(), before);
-  params.max_window_leaves = 8;
-  EXPECT_NO_THROW(opt::resub(g, params));
-}
-
 }  // namespace
