@@ -5,12 +5,12 @@
 // speedups against the scalar target. Kernels run on the calling thread.
 //
 //   ./bench_kernels [--out BENCH_kernels.json] [--min-ms 50] [--large]
-//                   [--full] [--kernel-target T] [--no-simd]
+//                   [--full] [--kernel-target T]
 //
 // --full adds the paper-scale batched shapes (R=30 restarts over [R, L*d]
-// latents against full-width layers). --kernel-target restricts timing to
-// one named target (scalar is always also run: it is the parity reference
-// and the speedup baseline).
+// latents against full-width layers). --kernel-target pins dispatch to
+// one named target and restricts timing to it (scalar is always also
+// run: it is the parity reference and the speedup baseline).
 //
 // Before timing anything it verifies the determinism contract the layer
 // documents: for every case, every compiled-and-supported target must
@@ -108,22 +108,23 @@ int main(int argc, char** argv) {
   const double min_ms = args.get_double("min-ms", 50.0);
   const bool large = args.has("large");
   const bool full = args.has("full");
-  if (args.has("no-simd")) kernel::set_simd_enabled(false);
 
   // The targets to time: every compiled-and-supported one, or just the
-  // named one (plus scalar, the reference) behind --kernel-target.
+  // named one (plus scalar, the reference) behind --kernel-target, which
+  // also pins dispatch to it.
   std::vector<kernel::Target> targets = {kernel::Target::kScalar};
   const std::string only = args.get("kernel-target", "");
   const bool all_targets = only.empty() || only == "auto";
-  if (!all_targets && only != "scalar") {
+  if (!only.empty()) {
     kernel::Target parsed;
     if (!kernel::parse_target(only.c_str(), &parsed)) {
       std::fprintf(stderr, "unknown --kernel-target %s\n", only.c_str());
       return 2;
     }
+    kernel::set_target(parsed);
   }
   if (kernel::target_supported(kernel::Target::kAvx2) &&
-      (all_targets || only == "avx2") && kernel::simd_enabled()) {
+      (all_targets || only == "avx2")) {
     targets.push_back(kernel::Target::kAvx2);
   }
   if (!all_targets && only != "scalar" && targets.size() == 1) {
@@ -312,9 +313,11 @@ int main(int argc, char** argv) {
     });
   }
 
+  const bool simd_compiled = kernel::target_compiled(kernel::Target::kAvx2);
+  const bool simd_supported = kernel::target_supported(kernel::Target::kAvx2);
   std::printf("kernels: simd_compiled=%d simd_supported=%d target=%s\n",
-              kernel::simd_compiled() ? 1 : 0,
-              kernel::simd_supported() ? 1 : 0, kernel::active_target());
+              simd_compiled ? 1 : 0, simd_supported ? 1 : 0,
+              kernel::active_target());
 
   const kernel::Target default_target = kernel::current_target();
   obs::Json results = obs::Json::array();
@@ -365,8 +368,8 @@ int main(int argc, char** argv) {
 
   obs::Json doc = obs::Json::object();
   doc["schema"] = obs::Json(std::string("clo.bench.kernels.v1"));
-  doc["simd_compiled"] = obs::Json(kernel::simd_compiled());
-  doc["simd_supported"] = obs::Json(kernel::simd_supported());
+  doc["simd_compiled"] = obs::Json(simd_compiled);
+  doc["simd_supported"] = obs::Json(simd_supported);
   doc["default_target"] = obs::Json(std::string(kernel::active_target()));
   doc["threads"] = obs::Json(1.0);
   doc["host_cores"] = obs::Json(

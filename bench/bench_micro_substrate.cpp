@@ -76,14 +76,17 @@ BENCHMARK_CAPTURE(BM_Pass, resub_router, opt::Transform::kRs, "router");
 BENCHMARK_CAPTURE(BM_Pass, resub_zero_router, opt::Transform::kRsz, "router");
 BENCHMARK_CAPTURE(BM_Pass, balance, opt::Transform::kB, "c2670");
 
-void BM_TechMap(benchmark::State& state) {
+// Every dataset label maps its circuit both ways.
+void BM_TechMap(benchmark::State& state,
+                techmap::MapParams::Objective objective) {
   const aig::Aig g = circuits::make_benchmark("c5315");
   const auto lib = techmap::CellLibrary::asap7();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(techmap::tech_map(g, lib));
+    benchmark::DoNotOptimize(techmap::tech_map(g, lib, {objective}));
   }
 }
-BENCHMARK(BM_TechMap);
+BENCHMARK_CAPTURE(BM_TechMap, delay, techmap::MapParams::Objective::kDelay);
+BENCHMARK_CAPTURE(BM_TechMap, area, techmap::MapParams::Objective::kArea);
 
 void BM_FullSequenceEval(benchmark::State& state) {
   const auto lib = techmap::CellLibrary::asap7();

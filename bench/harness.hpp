@@ -63,24 +63,24 @@ struct ObsOptions {
 /// --metrics-interval-ms N / --metrics-port P / --profile-out F; any of
 /// them turns the obs layer on for the whole bench run, and the
 /// --metrics-out / --metrics-port pair starts the live exporter
-/// immediately. --no-simd forces the portable scalar nn kernels and
-/// --kernel-target pins a named dispatch target (bitwise-identical
-/// results either way, useful for speedup baselines and bisection). Also
+/// immediately. --kernel-target pins a named nn kernel dispatch target
+/// (bitwise-identical results on every target, useful for speedup
+/// baselines and bisection); an unknown name exits with status 2. Also
 /// arms fault injection from --fault SPEC or the CLO_FAULT environment
 /// variable, so every bench can serve as a chaos-test target without its
 /// own plumbing.
 inline ObsOptions obs_from_args(const CliArgs& args) {
   ObsOptions opts;
-  if (args.has("no-simd")) nn::kernel::set_simd_enabled(false);
   const std::string kernel_target = args.get("kernel-target", "");
   if (!kernel_target.empty()) {
     nn::kernel::Target target;
-    if (nn::kernel::parse_target(kernel_target.c_str(), &target)) {
-      nn::kernel::set_target(target);
-    } else {
-      std::fprintf(stderr, "unknown --kernel-target %s (ignored)\n",
+    if (!nn::kernel::parse_target(kernel_target.c_str(), &target)) {
+      std::fprintf(stderr,
+                   "unknown --kernel-target %s (want scalar|avx2|auto)\n",
                    kernel_target.c_str());
+      std::exit(2);
     }
+    nn::kernel::set_target(target);
   }
   opts.trace_path = args.get("trace", "");
   opts.report_path = args.get("report", "");

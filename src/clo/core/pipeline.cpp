@@ -461,7 +461,7 @@ obs::Json pipeline_report(const PipelineResult& result,
   report["status"] = obs::Json(std::string("ok"));
   // Which nn kernel dispatch target produced these numbers ("avx2" or
   // "scalar"). All targets are bitwise identical by contract; recording
-  // it lets CI diff a --no-simd run against a default run.
+  // it lets CI diff a `--kernel-target scalar` run against a default run.
   report["kernel_target"] = obs::Json(std::string(nn::kernel::active_target()));
 
   obs::Json resume = obs::Json::object();

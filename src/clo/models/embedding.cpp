@@ -74,7 +74,7 @@ namespace {
 /// param) its squared distance. First-lowest tie-break; distances go
 /// through kernel::sqdist, whose fixed 8-lane reduction makes the winning
 /// index identical on both dispatch targets (this is the scan behind every
-/// retrieved sequence, so `--no-simd` must not change it).
+/// retrieved sequence, so the dispatch target must not change it).
 int nearest_scan(const float* point, int dim,
                  const std::vector<std::vector<float>>& table,
                  float* best_d2_out) {

@@ -128,16 +128,6 @@ bool parse_target(const char* name, Target* out) {
   return true;
 }
 
-bool simd_compiled() { return target_compiled(Target::kAvx2); }
-
-bool simd_supported() { return best_supported_target() != Target::kScalar; }
-
-bool simd_enabled() { return current_target() != Target::kScalar; }
-
-void set_simd_enabled(bool on) {
-  set_target(on ? best_supported_target() : Target::kScalar);
-}
-
 // --- Scalar reference kernels -------------------------------------------
 
 namespace scalar {

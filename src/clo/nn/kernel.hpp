@@ -5,10 +5,10 @@
 // scalar path (always built) and an AVX2/FMA-gated vector path (built when
 // the compiler supports -mavx2, selected at runtime only when cpuid
 // reports AVX2+FMA).
-// Dispatch is a single relaxed atomic load per call; `--no-simd` /
-// `--kernel-target` (tool flags) and the `simd` shell command force a
-// lower target at runtime — forcing a target the host cannot run clamps
-// down to the best supported one.
+// Dispatch is a single relaxed atomic load per call; `--kernel-target`
+// (tool flag) and the `simd` shell command force a lower target at
+// runtime — forcing a target the host cannot run clamps down to the best
+// supported one.
 //
 // Determinism contract: the floating-point result of every kernel is part
 // of its definition, not an implementation detail. Reductions use eight
@@ -20,8 +20,8 @@
 // no FMA contraction (the vector TU is compiled with -ffp-contract=off and
 // uses mul+add, not vfmadd; vector divide/sqrt are correctly rounded like
 // their scalar counterparts). So results are BITWISE IDENTICAL run-to-run
-// and across dispatch targets — `--no-simd` cannot change a retrieved
-// sequence. The
+// and across dispatch targets — `--kernel-target scalar` cannot change a
+// retrieved sequence. The
 // documented tolerance is relative to the pre-kernel naive sequential
 // loops: reassociating a length-k sum into 8 lanes perturbs it by at most
 // ~k·eps relative, which is why op-level tests compare against
@@ -63,15 +63,6 @@ const char* active_target();
 /// Parse a --kernel-target value ("scalar", "avx2", or "auto" =
 /// best supported). Returns false for unknown names.
 bool parse_target(const char* name, Target* out);
-
-/// True when any vector TU was compiled into this binary.
-bool simd_compiled();
-/// True when a vector target is supported on this host.
-bool simd_supported();
-/// True when dispatch currently goes to a vector target.
-bool simd_enabled();
-/// on = best supported target, off = scalar (the legacy --no-simd toggle).
-void set_simd_enabled(bool on);
 
 // --- Reductions (8-lane fixed-tree order) -------------------------------
 

@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <functional>
+#include <map>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -77,10 +78,6 @@ Shell::~Shell() {
     std::cerr << obs::Registry::instance().snapshot().format_table();
   }
 }
-
-void Shell::set_simd(bool on) { nn::kernel::set_simd_enabled(on); }
-
-bool Shell::simd() const { return nn::kernel::simd_enabled(); }
 
 bool Shell::set_kernel_target(const std::string& name) {
   nn::kernel::Target t;
@@ -203,9 +200,7 @@ void Shell::register_commands() {
            std::ofstream f(args[1]);
            ok = static_cast<bool>(f);
            if (ok) {
-             techmap::MapParams params;
-             params.keep_netlist = true;
-             const auto mapped = techmap::tech_map(g, sh.library_, params);
+             const auto mapped = techmap::tech_map(g, sh.library_);
              techmap::write_verilog(mapped, sh.library_, g, f);
            }
          } else {
@@ -291,7 +286,11 @@ void Shell::register_commands() {
                                           params);
          out << "area = " << r.area_um2 << " um^2  delay = " << r.delay_ps
              << " ps  cells = " << r.num_cells << "\n";
-         for (const auto& [name, count] : r.cell_histogram) {
+         std::map<std::string, int> histogram;
+         for (const auto& inst : r.instances) {
+           ++histogram[sh.library_.cell(inst.cell_index).name];
+         }
+         for (const auto& [name, count] : histogram) {
            out << "  " << name << " x" << count << "\n";
          }
          return true;
@@ -427,29 +426,12 @@ void Shell::register_commands() {
        }});
   commands_.push_back(
       {"simd",
-       "simd [on|off|scalar|avx2|auto] — set/show the nn kernel "
-       "dispatch target",
+       "simd [scalar|avx2|auto] — set/show the nn kernel dispatch target",
        [](Shell& sh, const auto& args, std::ostream& out) {
-         if (args.size() > 1) {
-           nn::kernel::Target t;
-           if (args[1] == "on") {
-             sh.set_simd(true);
-           } else if (args[1] == "off") {
-             sh.set_simd(false);
-           } else if (nn::kernel::parse_target(args[1].c_str(), &t)) {
-             const nn::kernel::Target actual = nn::kernel::set_target(t);
-             if (actual != t && args[1] != "auto") {
-               out << "note: " << args[1]
-                   << " not supported on this host; clamped to "
-                   << nn::kernel::target_name(actual) << "\n";
-             }
-           } else {
-             throw std::runtime_error(
-                 "usage: simd [on|off|scalar|avx2|auto]");
-           }
+         if (args.size() > 1 && !sh.set_kernel_target(args[1])) {
+           throw std::runtime_error("usage: simd [scalar|avx2|auto]");
          }
-         out << "simd = " << (sh.simd() ? "on" : "off") << " (target "
-             << nn::kernel::active_target() << ", best "
+         out << "kernel target = " << nn::kernel::active_target() << " (best "
              << nn::kernel::target_name(nn::kernel::best_supported_target())
              << ")\n";
          return true;

@@ -47,16 +47,10 @@ class Shell {
   void set_threads(int n) { threads_ = n; }
   int threads() const { return threads_; }
 
-  /// Whether the nn kernels may dispatch to the SIMD code paths
-  /// (`--no-simd` forces the portable scalar kernels). Forwards to the
-  /// process-wide clo::nn::kernel dispatch switch; also settable at
-  /// runtime with the `simd` command. Both targets produce bitwise
-  /// identical results — this exists for benchmarking and bisection.
-  void set_simd(bool on);
-  bool simd() const;
-
   /// Force a named nn kernel dispatch target ("scalar", "avx2", or
-  /// "auto" = best supported; `--kernel-target` flag). Requesting a
+  /// "auto" = best supported; the `--kernel-target` flag and the `simd`
+  /// command). Forwards to the process-wide clo::nn::kernel dispatch
+  /// switch. Requesting a
   /// target the host cannot run clamps down to the best supported one.
   /// Returns false when the name is unknown. All targets produce bitwise
   /// identical results — this exists for benchmarking and bisection.

@@ -22,9 +22,10 @@ std::uint16_t tt_of(int num_inputs, F f) {
 
 /// Apply an input permutation + phase assignment to a function:
 /// result(x) = f(y) with y[pin_of_input[i]] = x[i] ^ phase[i].
-std::uint16_t permute_function(std::uint16_t f, int num_inputs,
-                               const std::vector<int>& pin_of_input,
-                               const std::vector<bool>& phase) {
+std::uint16_t permute_function(
+    std::uint16_t f, int num_inputs,
+    const std::array<int, kMaxCellInputs>& pin_of_input,
+    const std::array<bool, kMaxCellInputs>& phase) {
   std::uint16_t result = 0;
   for (int m = 0; m < (1 << num_inputs); ++m) {
     int cell_minterm = 0;
@@ -95,11 +96,11 @@ void CellLibrary::build_match_table() {
   for (int ci = 0; ci < static_cast<int>(cells_.size()); ++ci) {
     const Cell& cell = cells_[ci];
     const int k = cell.num_inputs;
-    std::vector<int> perm(k);
-    std::iota(perm.begin(), perm.end(), 0);
+    std::array<int, kMaxCellInputs> perm{};
+    std::iota(perm.begin(), perm.begin() + k, 0);
     do {
       for (int phase_bits = 0; phase_bits < (1 << k); ++phase_bits) {
-        std::vector<bool> phase(k);
+        std::array<bool, kMaxCellInputs> phase{};
         for (int i = 0; i < k; ++i) phase[i] = (phase_bits >> i) & 1;
         const std::uint16_t f =
             permute_function(cell.function, k, perm, phase);
@@ -127,7 +128,7 @@ void CellLibrary::build_match_table() {
           }
         }
       }
-    } while (std::next_permutation(perm.begin(), perm.end()));
+    } while (std::next_permutation(perm.begin(), perm.begin() + k));
   }
 }
 
@@ -136,19 +137,6 @@ const std::vector<CellMatch>& CellLibrary::matches(std::uint16_t function,
   static const std::vector<CellMatch> kEmpty;
   auto it = match_table_.find(std::make_pair(num_vars, function));
   return it == match_table_.end() ? kEmpty : it->second;
-}
-
-CellMatch CellLibrary::match(std::uint16_t function, int num_vars) const {
-  const auto& all = matches(function, num_vars);
-  CellMatch best;
-  double best_area = 1e300;
-  for (const CellMatch& m : all) {
-    if (cells_[m.cell_index].area_um2 < best_area) {
-      best_area = cells_[m.cell_index].area_um2;
-      best = m;
-    }
-  }
-  return best;
 }
 
 int CellLibrary::find(const std::string& name) const {

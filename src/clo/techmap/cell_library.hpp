@@ -6,12 +6,16 @@
 // permutation; input/output negation is realized through polarity-aware
 // mapping with explicit inverters.
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
 
 namespace clo::techmap {
+
+/// Most pins of a library cell (a cut has at most this many leaves).
+inline constexpr int kMaxCellInputs = 4;
 
 struct Cell {
   std::string name;
@@ -27,10 +31,10 @@ struct Cell {
 /// leaves connect to its pins.
 struct CellMatch {
   int cell_index = -1;
-  /// pin_of_input[i] = which cut input drives cell pin i.
-  std::vector<int> pin_of_input;
+  /// pin_of_input[i] = the cell pin that cut input i drives.
+  std::array<int, kMaxCellInputs> pin_of_input{};
   /// input_phase[i] = true if cut input i must be complemented.
-  std::vector<bool> input_phase;
+  std::array<bool, kMaxCellInputs> input_phase{};
 };
 
 class CellLibrary {
@@ -47,9 +51,6 @@ class CellLibrary {
   /// most one (cheapest-phase) match per cell. Empty if unmatchable.
   const std::vector<CellMatch>& matches(std::uint16_t function,
                                         int num_vars) const;
-
-  /// Convenience: the smallest-area match (cell_index == -1 if none).
-  CellMatch match(std::uint16_t function, int num_vars) const;
 
   /// Cell index by name (-1 if absent).
   int find(const std::string& name) const;

@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <array>
 #include <cctype>
-#include <functional>
 #include <limits>
 #include <ostream>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "clo/aig/cuts.hpp"
@@ -19,20 +19,34 @@ namespace clo::techmap {
 using aig::Aig;
 using aig::Cut;
 using aig::Lit;
-using aig::TruthTable;
 
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 /// Priority cuts kept per node (4-leaf cuts, aig::kCutLeaves).
 constexpr int kMaxCutsPerNode = 12;
+static_assert(aig::kCutLeaves <= kMaxCellInputs,
+              "a cut function has at most as many inputs as a cell");
 
+/// A non-trivial cut's function, derived once per mapping call: the cut's
+/// position in its node's CutSet list, the leaves the function depends on
+/// (bit i = leaf i), and the function over those support leaves in order
+/// (bit j = value on minterm j). Every selection round reads it.
+struct CutFunction {
+  std::uint8_t cut = 0;
+  std::uint8_t support = 0;
+  std::uint16_t bits = 0;
+};
+
+/// How one polarity of a node is implemented. A wire is a cut function
+/// that is one leaf or its complement; a cell is match `match` of
+/// lib.matches() for the cut function `cut` in this polarity; an
+/// inverter takes the node's other polarity.
 struct Choice {
-  int cell_index = -1;               ///< -1 = unresolved, -2 = wire
-  bool via_inverter = false;         ///< implemented as INV(other polarity)
-  std::vector<std::uint32_t> leaves; ///< cut leaves in match input order
-  std::vector<bool> leaf_phase;      ///< polarity required of each leaf
-  std::vector<int> pin_of_input;     ///< cell pin driven by each leaf
+  enum Kind : std::uint8_t { kNone, kWire, kCell, kInverter };
+  Kind kind = kNone;
+  std::uint8_t match = 0;
+  std::uint32_t cut = 0;  ///< index into the CutFunction table
 };
 
 struct NodeCost {
@@ -41,24 +55,41 @@ struct NodeCost {
   Choice choice[2];
 };
 
-/// Reduce `tt` to its support variables; fills `support` with the indices
-/// of participating variables and returns the packed bits of the reduced
-/// function (over support.size() <= aig::kCutLeaves <= 4 variables).
-std::uint16_t reduce_support(const TruthTable& tt, std::vector<int>& support) {
-  support.clear();
-  for (int v = 0; v < tt.num_vars(); ++v) {
-    if (tt.has_var(v)) support.push_back(v);
+/// The function of a cut of k <= 4 leaves, given its truth table `table`
+/// over the leaves (leaf i = variable i), restricted to its support.
+CutFunction reduce_support(std::uint16_t table, int k) {
+  // kVarZero[v]: the minterms whose variable v is 0.
+  constexpr std::uint16_t kVarZero[4] = {0x5555, 0x3333, 0x0f0f, 0x00ff};
+  CutFunction cf;
+  for (int v = 0; v < k; ++v) {
+    if (((table >> (1 << v)) ^ table) & kVarZero[v]) cf.support |= 1u << v;
   }
-  const int m = static_cast<int>(support.size());
-  std::uint16_t bits = 0;
-  for (int minterm = 0; minterm < (1 << m); ++minterm) {
-    std::size_t full = 0;
-    for (int i = 0; i < m; ++i) {
-      if ((minterm >> i) & 1) full |= std::size_t{1} << support[i];
-    }
-    if (tt.get_bit(full)) bits |= static_cast<std::uint16_t>(1u << minterm);
+  // The minterms that are 0 off the support, in increasing order, are the
+  // reduced function's minterms 0, 1, 2, ...
+  int minterm = 0;
+  for (int full = 0; full < (1 << k); ++full) {
+    if (full & ~cf.support) continue;
+    if ((table >> full) & 1) cf.bits |= 1u << minterm;
+    ++minterm;
   }
-  return bits;
+  return cf;
+}
+
+/// The support leaves of `cf` (a function of `cut`), in variable order.
+/// Returns their number m.
+int support_leaves(const CutFunction& cf, const Cut& cut,
+                   std::array<std::uint32_t, kMaxCellInputs>& leaves) {
+  int m = 0;
+  for (int i = 0; i < static_cast<int>(cut.leaves.size()); ++i) {
+    if ((cf.support >> i) & 1) leaves[m++] = cut.leaves[i];
+  }
+  return m;
+}
+
+/// The function `cf` over its m support leaves in polarity `pol`.
+std::uint16_t polarity_bits(const CutFunction& cf, int m, int pol) {
+  const std::uint16_t mask = static_cast<std::uint16_t>((1u << (1 << m)) - 1);
+  return pol ? static_cast<std::uint16_t>(~cf.bits & mask) : cf.bits;
 }
 
 }  // namespace
@@ -66,12 +97,65 @@ std::uint16_t reduce_support(const TruthTable& tt, std::vector<int>& support) {
 MappingResult tech_map(const Aig& g, const CellLibrary& lib,
                        const MapParams& params) {
   const bool delay_oriented = params.objective == MapParams::Objective::kDelay;
+  const Cell& inv = lib.inverter();
+  const auto order = g.topo_order();
+
+  // ---- Matching walk ------------------------------------------------------
+  // Each non-trivial cut's cone is simulated once; node order[i] owns
+  // functions[first[i] .. first[i + 1]). Semantically constant cuts are
+  // dropped: they implement nothing.
   aig::CutSet cuts(g, kMaxCutsPerNode);
   aig::Window window;
+  std::vector<CutFunction> functions;
+  std::vector<std::uint32_t> first(order.size() + 1, 0);
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    const std::uint32_t n = order[i];
+    const std::vector<Cut>& node_cuts = cuts.cuts_of(n);
+    for (std::size_t c = 0; c < node_cuts.size(); ++c) {
+      const Cut& cut = node_cuts[c];
+      if (cut.leaves.size() == 1 && cut.leaves[0] == n) continue;  // trivial
+      // A cut's cone never leaves the cut in a well-formed graph.
+      if (!window.simulate(g, n, cut.leaves, std::numeric_limits<int>::max())) {
+        throw std::logic_error("tech_map: cut cone escapes its leaves");
+      }
+      CutFunction cf =
+          reduce_support(static_cast<std::uint16_t>(window.table(n).w[0]),
+                         static_cast<int>(cut.leaves.size()));
+      if (cf.support == 0) continue;
+      cf.cut = static_cast<std::uint8_t>(c);
+      functions.push_back(cf);
+    }
+    first[i + 1] = static_cast<std::uint32_t>(functions.size());
+  }
 
+  // Calls visit(leaf, phase, pin) for each fanin of polarity `pol` of `n`
+  // as implemented by `ch`, in match input order: a wire's one leaf, a
+  // cell's support leaves, an inverter's other polarity of `n`. Returns
+  // the cell placed, or -1 for a wire or an unresolved choice.
+  auto for_each_fanin = [&](std::uint32_t n, int pol, const Choice& ch,
+                            auto&& visit) {
+    if (ch.kind == Choice::kInverter) {
+      visit(n, 1 - pol, 0);
+      return lib.inverter_index();
+    }
+    if (ch.kind == Choice::kNone) return -1;
+    const CutFunction& cf = functions[ch.cut];
+    std::array<std::uint32_t, kMaxCellInputs> leaves;
+    const int m = support_leaves(cf, cuts.cuts_of(n)[cf.cut], leaves);
+    const std::uint16_t f = polarity_bits(cf, m, pol);
+    if (ch.kind == Choice::kWire) {
+      visit(leaves[0], f == 0x1 ? 1 : 0, 0);  // f == !x
+      return -1;
+    }
+    const CellMatch& match = lib.matches(f, m)[ch.match];
+    for (int i = 0; i < m; ++i) {
+      visit(leaves[i], match.input_phase[i] ? 1 : 0, match.pin_of_input[i]);
+    }
+    return match.cell_index;
+  };
+
+  // ---- Selection rounds ---------------------------------------------------
   std::vector<NodeCost> cost(g.num_slots());
-  const Cell& inv = lib.inverter();
-
   // Area-flow reference estimate: structural fanout count in round 0;
   // after a provisional cover exists, the *actual* number of cover
   // references (classic iterative area recovery — fixes the area-flow
@@ -82,117 +166,81 @@ MappingResult tech_map(const Aig& g, const CellLibrary& lib,
     if (!cover_refs.empty()) return std::max(1, cover_refs[n]);
     return std::max(1, g.nrefs(n));
   };
+  // The one comparison: arrival first for the delay objective, area flow
+  // first for the area objective, each breaking ties with the other.
+  auto offer = [&](NodeCost& c, int pol, double arr, double af,
+                   const Choice& ch) {
+    const bool better =
+        delay_oriented ? arr < c.arrival[pol] ||
+                             (arr == c.arrival[pol] && af < c.aflow[pol])
+                       : af < c.aflow[pol] ||
+                             (af == c.aflow[pol] && arr < c.arrival[pol]);
+    if (!better) return;
+    c.arrival[pol] = arr;
+    c.aflow[pol] = af;
+    c.choice[pol] = ch;
+  };
 
-  const auto order = g.topo_order();
   auto run_selection = [&] {
-  cost.assign(g.num_slots(), NodeCost{});
-  // Constant node: free, arrival 0 (tie cells are ignored, like ABC).
-  cost[0].arrival[0] = cost[0].arrival[1] = 0.0;
-  cost[0].aflow[0] = cost[0].aflow[1] = 0.0;
-  // PIs: positive free; negative via inverter.
-  for (std::size_t i = 0; i < g.num_pis(); ++i) {
-    NodeCost& c = cost[g.pi_node(i)];
-    c.arrival[0] = 0.0;
-    c.aflow[0] = 0.0;
-    c.arrival[1] = inv.delay_ps;
-    c.aflow[1] = inv.area_um2;
-    c.choice[1].via_inverter = true;
-  }
-  for (std::uint32_t n : order) {
-    NodeCost& c = cost[n];
-    for (const Cut& cut : cuts.cuts_of(n)) {
-      if (cut.leaves.size() == 1 && cut.leaves[0] == n) continue;  // trivial
-      // A cut's cone never leaves the cut in a well-formed graph.
-      if (!window.simulate(g, n, cut.leaves, std::numeric_limits<int>::max())) {
-        throw std::logic_error("tech_map: cut cone escapes its leaves");
-      }
-      const TruthTable tt = window.truth(aig::make_lit(n));
-      std::vector<int> support;
-      const std::uint16_t bits = reduce_support(tt, support);
-      const int m = static_cast<int>(support.size());
-      if (m == 0) continue;  // semantically constant cone: skip this cut
-      const std::uint16_t mask =
-          static_cast<std::uint16_t>((1u << (1 << m)) - 1);
-      for (int pol = 0; pol < 2; ++pol) {
-        const std::uint16_t f = pol ? static_cast<std::uint16_t>(~bits & mask)
-                                    : bits;
-        // Single-support wire: the function is a leaf or its complement.
-        if (m == 1) {
-          const std::uint32_t leaf = cut.leaves[support[0]];
-          const bool phase = (f == 0x1);  // f == !x
-          const double arr = cost[leaf].arrival[phase];
-          const double af = cost[leaf].aflow[phase];
-          const bool better = delay_oriented
-                                  ? (arr < c.arrival[pol] ||
-                                     (arr == c.arrival[pol] && af < c.aflow[pol]))
-                                  : (af < c.aflow[pol] ||
-                                     (af == c.aflow[pol] && arr < c.arrival[pol]));
-          if (better) {
-            c.arrival[pol] = arr;
-            c.aflow[pol] = af;
-            c.choice[pol] = Choice{-2, false, {leaf}, {phase}, {}};  // wire
+    cost.assign(g.num_slots(), NodeCost{});
+    // Constant node: free, arrival 0 (tie cells are ignored, like ABC).
+    cost[0].arrival[0] = cost[0].arrival[1] = 0.0;
+    cost[0].aflow[0] = cost[0].aflow[1] = 0.0;
+    // PIs: positive free; negative via inverter.
+    for (std::size_t i = 0; i < g.num_pis(); ++i) {
+      NodeCost& c = cost[g.pi_node(i)];
+      c.arrival[0] = 0.0;
+      c.aflow[0] = 0.0;
+      c.arrival[1] = inv.delay_ps;
+      c.aflow[1] = inv.area_um2;
+      c.choice[1].kind = Choice::kInverter;
+    }
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      const std::uint32_t n = order[i];
+      NodeCost& c = cost[n];
+      const std::vector<Cut>& node_cuts = cuts.cuts_of(n);
+      for (std::uint32_t e = first[i]; e < first[i + 1]; ++e) {
+        const CutFunction& cf = functions[e];
+        std::array<std::uint32_t, kMaxCellInputs> leaves;
+        const int m = support_leaves(cf, node_cuts[cf.cut], leaves);
+        for (int pol = 0; pol < 2; ++pol) {
+          const std::uint16_t f = polarity_bits(cf, m, pol);
+          // Single-support wire: the function is a leaf or its complement.
+          if (m == 1) {
+            const int phase = f == 0x1 ? 1 : 0;  // f == !x
+            offer(c, pol, cost[leaves[0]].arrival[phase],
+                  cost[leaves[0]].aflow[phase], Choice{Choice::kWire, 0, e});
+            continue;
           }
-          continue;
-        }
-        for (const CellMatch& match : lib.matches(f, m)) {
-          const Cell& cell = lib.cell(match.cell_index);
-          double arr = 0.0;
-          double af = cell.area_um2;
-          std::vector<std::uint32_t> leaves(m);
-          std::vector<bool> phases(m);
-          bool feasible = true;
-          for (int i = 0; i < m; ++i) {
-            const std::uint32_t leaf = cut.leaves[support[i]];
-            const bool phase = match.input_phase[i];
-            if (cost[leaf].arrival[phase] == kInf) {
-              feasible = false;
-              break;
+          const std::vector<CellMatch>& matches = lib.matches(f, m);
+          for (std::size_t k = 0; k < matches.size(); ++k) {
+            const CellMatch& match = matches[k];
+            const Cell& cell = lib.cell(match.cell_index);
+            double arr = 0.0;
+            double af = cell.area_um2;
+            for (int j = 0; j < m; ++j) {
+              const NodeCost& leaf = cost[leaves[j]];
+              const int phase = match.input_phase[j] ? 1 : 0;
+              arr = std::max(arr, leaf.arrival[phase]);
+              af += leaf.aflow[phase] / refs_of(leaves[j]);
             }
-            arr = std::max(arr, cost[leaf].arrival[phase]);
-            af += cost[leaf].aflow[phase] / refs_of(leaf);
-            leaves[i] = leaf;
-            phases[i] = phase;
-          }
-          if (!feasible) continue;
-          arr += cell.delay_ps;
-          const bool better =
-              delay_oriented
-                  ? (arr < c.arrival[pol] ||
-                     (arr == c.arrival[pol] && af < c.aflow[pol]))
-                  : (af < c.aflow[pol] ||
-                     (af == c.aflow[pol] && arr < c.arrival[pol]));
-          if (better) {
-            c.arrival[pol] = arr;
-            c.aflow[pol] = af;
-            c.choice[pol] = Choice{match.cell_index, false, std::move(leaves),
-                                   std::move(phases), match.pin_of_input};
+            if (arr == kInf) continue;  // a leaf polarity is unmapped
+            offer(c, pol, arr + cell.delay_ps, af,
+                  Choice{Choice::kCell, static_cast<std::uint8_t>(k), e});
           }
         }
       }
-    }
-    // Inverter relaxation between the two polarities.
-    for (int round = 0; round < 2; ++round) {
-      for (int pol = 0; pol < 2; ++pol) {
-        const int other = 1 - pol;
-        if (c.arrival[other] == kInf) continue;
-        const double arr = c.arrival[other] + inv.delay_ps;
-        const double af = c.aflow[other] + inv.area_um2;
-        const bool better = delay_oriented
-                                ? (arr < c.arrival[pol] ||
-                                   (arr == c.arrival[pol] && af < c.aflow[pol]))
-                                : (af < c.aflow[pol] ||
-                                   (af == c.aflow[pol] && arr < c.arrival[pol]));
-        if (better) {
-          c.arrival[pol] = arr;
-          c.aflow[pol] = af;
-          Choice ch;
-          ch.via_inverter = true;
-          c.choice[pol] = ch;
+      // Inverter relaxation between the two polarities.
+      for (int round = 0; round < 2; ++round) {
+        for (int pol = 0; pol < 2; ++pol) {
+          const int other = 1 - pol;
+          if (c.arrival[other] == kInf) continue;
+          offer(c, pol, c.arrival[other] + inv.delay_ps,
+                c.aflow[other] + inv.area_um2, Choice{Choice::kInverter, 0, 0});
         }
       }
     }
-  }
-  };  // run_selection
+  };
 
   run_selection();
   if (!delay_oriented) {
@@ -216,16 +264,10 @@ MappingResult tech_map(const Aig& g, const CellLibrary& lib,
         const auto [n, pol] = work.back();
         work.pop_back();
         if (n == 0 || g.is_pi(n)) continue;
-        const Choice& ch = cost[n].choice[pol];
-        if (ch.via_inverter) {
-          touch(n, 1 - pol);
-        } else if (ch.cell_index == -2) {
-          touch(ch.leaves[0], ch.leaf_phase[0] ? 1 : 0);
-        } else if (ch.cell_index >= 0) {
-          for (std::size_t i = 0; i < ch.leaves.size(); ++i) {
-            touch(ch.leaves[i], ch.leaf_phase[i] ? 1 : 0);
-          }
-        }
+        for_each_fanin(n, pol, cost[n].choice[pol],
+                       [&](std::uint32_t leaf, int phase, int) {
+                         touch(leaf, phase);
+                       });
       }
       run_selection();
     }
@@ -233,28 +275,16 @@ MappingResult tech_map(const Aig& g, const CellLibrary& lib,
 
   // ---- Cover extraction ---------------------------------------------------
   MappingResult result;
-
-  // Net naming, with alias resolution for "wire" choices (a node whose cut
-  // function degenerates to one leaf or its complement).
-  std::vector<std::string> pi_net(g.num_slots());
-  for (std::size_t i = 0; i < g.num_pis(); ++i) {
-    std::string s = g.pi_name(i);
-    for (char& ch : s) {
-      if (!std::isalnum(static_cast<unsigned char>(ch)) && ch != '_') ch = '_';
+  // The net that implements (n, pol): a wire choice passes its leaf on.
+  auto driver = [&](std::uint32_t n, int pol) {
+    while (cost[n].choice[pol].kind == Choice::kWire) {
+      for_each_fanin(n, pol, cost[n].choice[pol],
+                     [&](std::uint32_t leaf, int phase, int) {
+                       n = leaf;
+                       pol = phase;
+                     });
     }
-    if (s.empty() || std::isdigit(static_cast<unsigned char>(s[0]))) {
-      s = "s" + s;  // keep in sync with sanitize() below
-    }
-    pi_net[g.pi_node(i)] = s;
-  }
-  std::map<std::pair<std::uint32_t, int>, std::pair<std::uint32_t, int>> alias;
-  std::function<std::string(std::uint32_t, int)> net_of =
-      [&](std::uint32_t n, int pol) -> std::string {
-    auto it = alias.find({n, pol});
-    if (it != alias.end()) return net_of(it->second.first, it->second.second);
-    if (n == 0) return pol ? "const1" : "const0";
-    if (g.is_pi(n)) return pol ? pi_net[n] + "_bar" : pi_net[n];
-    return pol ? "n" + std::to_string(n) + "_bar" : "n" + std::to_string(n);
+    return aig::make_lit(n, pol != 0);
   };
 
   std::vector<std::array<bool, 2>> required(g.num_slots(), {false, false});
@@ -264,68 +294,34 @@ MappingResult tech_map(const Aig& g, const CellLibrary& lib,
     required[n][pol] = true;
     stack.emplace_back(n, pol);
   };
-  // Pre-resolve wire aliases so instance inputs name the real driver.
-  for (std::uint32_t n : order) {
-    for (int pol = 0; pol < 2; ++pol) {
-      const Choice& ch = cost[n].choice[pol];
-      if (ch.cell_index == -2 && !ch.via_inverter) {
-        alias[{n, pol}] = {ch.leaves[0], ch.leaf_phase[0] ? 1 : 0};
-      }
-    }
-  }
   for (std::size_t i = 0; i < g.num_pos(); ++i) {
-    const Lit po = g.po(i);
-    require(aig::lit_node(po), aig::lit_is_compl(po) ? 1 : 0);
-    const double arr =
-        cost[aig::lit_node(po)].arrival[aig::lit_is_compl(po) ? 1 : 0];
-    if (arr != kInf) result.delay_ps = std::max(result.delay_ps, arr);
-    if (params.keep_netlist) {
-      result.po_nets.push_back(
-          net_of(aig::lit_node(po), aig::lit_is_compl(po) ? 1 : 0));
+    const std::uint32_t n = aig::lit_node(g.po(i));
+    const int pol = aig::lit_is_compl(g.po(i)) ? 1 : 0;
+    require(n, pol);
+    if (cost[n].arrival[pol] != kInf) {
+      result.delay_ps = std::max(result.delay_ps, cost[n].arrival[pol]);
     }
+    result.po_drivers.push_back(driver(n, pol));
   }
-  auto add_instance = [&](const Cell& cell, int cell_index,
-                          std::string output_net,
-                          std::vector<std::string> input_nets) {
-    result.area_um2 += cell.area_um2;
-    result.num_cells += 1;
-    result.cell_histogram[cell.name] += 1;
-    if (params.keep_netlist) {
-      result.instances.push_back(CellInstance{
-          cell_index, std::move(output_net), std::move(input_nets)});
-    }
-  };
   while (!stack.empty()) {
     const auto [n, pol] = stack.back();
     stack.pop_back();
-    if (n == 0) continue;  // constant: tied off, no cell
-    if (g.is_pi(n)) {
-      if (pol == 1) {
-        add_instance(inv, lib.inverter_index(), net_of(n, 1), {net_of(n, 0)});
-      }
-      continue;
-    }
-    const Choice& ch = cost[n].choice[pol];
-    if (ch.via_inverter) {
-      add_instance(inv, lib.inverter_index(), net_of(n, pol),
-                   {net_of(n, 1 - pol)});
-      require(n, 1 - pol);
-      continue;
-    }
-    if (ch.cell_index == -2) {  // wire through support reduction
-      require(ch.leaves[0], ch.leaf_phase[0] ? 1 : 0);
-      continue;
-    }
-    if (ch.cell_index < 0) continue;  // unmapped (should not happen)
-    const Cell& cell = lib.cell(ch.cell_index);
-    std::vector<std::string> input_nets(cell.num_inputs);
-    for (std::size_t i = 0; i < ch.leaves.size(); ++i) {
-      input_nets[ch.pin_of_input[i]] =
-          net_of(ch.leaves[i], ch.leaf_phase[i] ? 1 : 0);
-      require(ch.leaves[i], ch.leaf_phase[i] ? 1 : 0);
-    }
-    add_instance(cell, ch.cell_index, net_of(n, pol), std::move(input_nets));
+    // The constant is tied off and a PI drives itself: no cell. A
+    // complemented PI is an inverter choice like any other.
+    if (n == 0 || (g.is_pi(n) && pol == 0)) continue;
+    CellInstance inst{-1, aig::make_lit(n, pol != 0), {}};
+    inst.cell_index = for_each_fanin(
+        n, pol, cost[n].choice[pol],
+        [&](std::uint32_t leaf, int phase, int pin) {
+          inst.inputs[pin] = driver(leaf, phase);
+          require(leaf, phase);
+        });
+    // A wire adds no cell; an unresolved choice (should not happen) neither.
+    if (inst.cell_index < 0) continue;
+    result.area_um2 += lib.cell(inst.cell_index).area_um2;
+    result.instances.push_back(inst);
   }
+  result.num_cells = static_cast<int>(result.instances.size());
   return result;
 }
 
@@ -383,10 +379,24 @@ void write_verilog(const MappingResult& result, const CellLibrary& lib,
        << ";\nendmodule\n\n";
   }
 
-  // Top module.
+  // Top module. A net is named after its node: a PI by its name, an
+  // internal node n<id>, a complement with `_bar`.
+  std::vector<std::string> pi_net(g.num_slots());
+  std::set<std::string> declared{"const0", "const1"};
+  for (std::size_t i = 0; i < g.num_pis(); ++i) {
+    pi_net[g.pi_node(i)] = sanitize(g.pi_name(i));
+    declared.insert(pi_net[g.pi_node(i)]);
+  }
+  auto net = [&](Lit l) -> std::string {
+    const std::uint32_t n = aig::lit_node(l);
+    const bool bar = aig::lit_is_compl(l);
+    if (n == 0) return bar ? "const1" : "const0";
+    const std::string base = g.is_pi(n) ? pi_net[n] : "n" + std::to_string(n);
+    return bar ? base + "_bar" : base;
+  };
   os << "module " << sanitize(g.name()) << "(";
   for (std::size_t i = 0; i < g.num_pis(); ++i) {
-    os << "input " << sanitize(g.pi_name(i)) << ", ";
+    os << "input " << pi_net[g.pi_node(i)] << ", ";
   }
   for (std::size_t i = 0; i < g.num_pos(); ++i) {
     if (i) os << ", ";
@@ -394,29 +404,22 @@ void write_verilog(const MappingResult& result, const CellLibrary& lib,
   }
   os << ");\n";
   os << "  wire const0 = 1'b0;\n  wire const1 = 1'b1;\n";
-  std::set<std::string> declared;
-  for (std::size_t i = 0; i < g.num_pis(); ++i) {
-    declared.insert(sanitize(g.pi_name(i)));
-  }
-  declared.insert("const0");
-  declared.insert("const1");
   for (const auto& inst : result.instances) {
-    if (declared.insert(inst.output_net).second) {
-      os << "  wire " << inst.output_net << ";\n";
-    }
+    const std::string out = net(inst.output);
+    if (declared.insert(out).second) os << "  wire " << out << ";\n";
   }
   int index = 0;
   for (const auto& inst : result.instances) {
     const Cell& cell = lib.cell(inst.cell_index);
     os << "  " << cell.name << " u" << index++ << "(";
-    for (std::size_t i = 0; i < inst.input_nets.size(); ++i) {
-      os << ".I" << i << "(" << inst.input_nets[i] << "), ";
+    for (int i = 0; i < cell.num_inputs; ++i) {
+      os << ".I" << i << "(" << net(inst.inputs[i]) << "), ";
     }
-    os << ".Y(" << inst.output_net << "));\n";
+    os << ".Y(" << net(inst.output) << "));\n";
   }
   for (std::size_t i = 0; i < g.num_pos(); ++i) {
     os << "  assign " << sanitize(g.po_name(i)) << " = "
-       << result.po_nets[i] << ";\n";
+       << net(result.po_drivers[i]) << ";\n";
   }
   os << "endmodule\n";
 }

@@ -5,9 +5,8 @@
 // critical-path delay (ps) that the optimizers minimize — the same role
 // ABC's `map` + ASAP7 plays in the paper.
 
+#include <array>
 #include <iosfwd>
-#include <map>
-#include <string>
 #include <vector>
 
 #include "clo/aig/aig.hpp"
@@ -20,26 +19,25 @@ struct MapParams {
   /// tie-break), kArea picks min-area-flow matches (arrival tie-break).
   enum class Objective { kDelay, kArea };
   Objective objective = Objective::kDelay;
-  /// Record the full instance list (needed for write_verilog).
-  bool keep_netlist = false;
 };
 
-/// One placed cell in the mapped netlist.
+/// One placed cell of the cover. A net is a (node, polarity) pair, kept
+/// as an aig::Lit: node 0 is the constant, a PI node is the input itself.
 struct CellInstance {
   int cell_index = -1;
-  std::string output_net;
-  std::vector<std::string> input_nets;  ///< in cell pin order
+  aig::Lit output = 0;
+  /// The net on each cell pin; the first num_inputs entries are used.
+  std::array<aig::Lit, kMaxCellInputs> inputs{};
 };
 
 struct MappingResult {
   double area_um2 = 0.0;
   double delay_ps = 0.0;
-  int num_cells = 0;
-  std::map<std::string, int> cell_histogram;
-  /// Full netlist (filled when MapParams::keep_netlist).
+  int num_cells = 0;  ///< instances.size()
+  /// The cover, in extraction order.
   std::vector<CellInstance> instances;
-  /// Net driving each PO, in PO order (when keep_netlist).
-  std::vector<std::string> po_nets;
+  /// The net driving each PO, in PO order.
+  std::vector<aig::Lit> po_drivers;
 };
 
 /// Map `g` onto `lib`. The graph is not modified.
@@ -47,8 +45,8 @@ MappingResult tech_map(const aig::Aig& g, const CellLibrary& lib,
                        const MapParams& params = {});
 
 /// Emit the mapped netlist as structural Verilog, including `module`
-/// definitions (assign-based) for every used cell. Requires a result
-/// produced with keep_netlist = true.
+/// definitions (assign-based) for every used cell. Nets are named after
+/// the graph: PIs by name, internal nodes n<id>, complements with `_bar`.
 void write_verilog(const MappingResult& result, const CellLibrary& lib,
                    const aig::Aig& g, std::ostream& os);
 

@@ -32,11 +32,13 @@ using util::AlignedFloats;
 /// Every test leaves the dispatch switch back at its hardware default.
 class KernelTest : public ::testing::Test {
  protected:
-  void TearDown() override { kernel::set_simd_enabled(true); }
+  void TearDown() override {
+    kernel::set_target(kernel::best_supported_target());
+  }
 
   /// Skip (not silently pass) parity tests on hosts without a vector TU.
   static bool RequireBothTargets() {
-    if (!kernel::simd_supported()) {
+    if (!kernel::target_supported(kernel::Target::kAvx2)) {
       return false;
     }
     return true;
@@ -72,12 +74,12 @@ TEST_F(KernelTest, ReductionsAreBitwiseIdenticalAcrossTargets) {
   for (std::size_t n : kSizes) {
     const auto a = random_buf(n, rng);
     const auto b = random_buf(n, rng);
-    kernel::set_simd_enabled(false);
+    kernel::set_target(kernel::Target::kScalar);
     const float dot_s = kernel::dot(a.data(), b.data(), n);
     const float sq_s = kernel::sqdist(a.data(), b.data(), n);
     const float sum_s = kernel::sum(a.data(), n);
     const float max_s = kernel::max_value(a.data(), n);
-    kernel::set_simd_enabled(true);
+    kernel::set_target(kernel::best_supported_target());
     // Bitwise, not near: the contract is exact equality.
     EXPECT_EQ(dot_s, kernel::dot(a.data(), b.data(), n)) << "dot n=" << n;
     EXPECT_EQ(sq_s, kernel::sqdist(a.data(), b.data(), n)) << "sqdist n=" << n;
@@ -96,7 +98,7 @@ TEST_F(KernelTest, ElementwiseAreBitwiseIdenticalAcrossTargets) {
     AlignedFloats out_s(n), out_v(n);
     AlignedFloats y_s = y0, y_v = y0;
 
-    kernel::set_simd_enabled(false);
+    kernel::set_target(kernel::Target::kScalar);
     kernel::axpy(y_s.data(), 0.37f, a.data(), n);
     kernel::acc(y_s.data(), b.data(), n);
     kernel::add(out_s.data(), a.data(), b.data(), n);
@@ -105,7 +107,7 @@ TEST_F(KernelTest, ElementwiseAreBitwiseIdenticalAcrossTargets) {
     kernel::scale(out_s.data(), out_s.data(), -1.25f, n);
     kernel::div_inplace(out_s.data(), 3.0f, n);
 
-    kernel::set_simd_enabled(true);
+    kernel::set_target(kernel::best_supported_target());
     kernel::axpy(y_v.data(), 0.37f, a.data(), n);
     kernel::acc(y_v.data(), b.data(), n);
     kernel::add(out_v.data(), a.data(), b.data(), n);
@@ -131,10 +133,10 @@ TEST_F(KernelTest, AdamUpdateIsBitwiseIdenticalAcrossTargets) {
 
     AlignedFloats p_s = p0, m_s = m0, v_s = v0;
     AlignedFloats p_v = p0, m_v = m0, v_v = v0;
-    kernel::set_simd_enabled(false);
+    kernel::set_target(kernel::Target::kScalar);
     kernel::adam_update(p_s.data(), m_s.data(), v_s.data(), g.data(), n, 0.9f,
                         0.999f, 1e-3f, 0.19f, 0.002996f, 1e-8f);
-    kernel::set_simd_enabled(true);
+    kernel::set_target(kernel::best_supported_target());
     kernel::adam_update(p_v.data(), m_v.data(), v_v.data(), g.data(), n, 0.9f,
                         0.999f, 1e-3f, 0.19f, 0.002996f, 1e-8f);
     EXPECT_TRUE(bitwise_equal(p_s, p_v)) << "adam p n=" << n;
@@ -166,9 +168,9 @@ TEST_F(KernelTest, MatmulIsBitwiseIdenticalAcrossTargets) {
       const auto b = random_buf(static_cast<std::size_t>(k) * n, rng);
       const auto o0 = random_buf(static_cast<std::size_t>(m) * n, rng);
       AlignedFloats o_s = o0, o_v = o0;
-      kernel::set_simd_enabled(false);
+      kernel::set_target(kernel::Target::kScalar);
       kernel::matmul(a.data(), b.data(), o_s.data(), m, k, n, tb);
-      kernel::set_simd_enabled(true);
+      kernel::set_target(kernel::best_supported_target());
       kernel::matmul(a.data(), b.data(), o_v.data(), m, k, n, tb);
       EXPECT_TRUE(bitwise_equal(o_s, o_v))
           << m << "x" << k << "x" << n << " tb=" << tb;
@@ -260,7 +262,7 @@ TEST_F(KernelTest, MaxValuePropagatesNaNFromAnyPosition) {
             << "n=" << n << " pos=" << pos
             << " target=" << kernel::target_name(t);
       }
-      kernel::set_simd_enabled(true);
+      kernel::set_target(kernel::best_supported_target());
     }
   }
   // NaN-free inputs still return the plain maximum on every target.
@@ -330,9 +332,9 @@ TEST_F(KernelTest, UNetForwardIsBitwiseIdenticalAcrossTargets) {
     auto x = nn::Tensor::from_data({B, cfg.embed_dim, cfg.seq_len}, xdata);
     return unet.forward(x, t);
   };
-  kernel::set_simd_enabled(true);
+  kernel::set_target(kernel::best_supported_target());
   const auto out_simd = run().data();
-  kernel::set_simd_enabled(false);
+  kernel::set_target(kernel::Target::kScalar);
   const auto out_scalar = run().data();
   EXPECT_TRUE(bitwise_equal(out_simd, out_scalar));
 }
@@ -342,7 +344,8 @@ TEST_F(KernelTest, TrainingStepIsBitwiseIdenticalAcrossTargets) {
   // One full forward/backward/Adam step on an MLP, run once per target
   // from identical initial weights: every parameter must match bitwise.
   auto run = [](bool simd) {
-    kernel::set_simd_enabled(simd);
+    kernel::set_target(simd ? kernel::best_supported_target()
+                           : kernel::Target::kScalar);
     Rng rng(9);
     nn::Mlp mlp(6, 16, 2, rng);
     nn::Adam opt(mlp.parameters(), 1e-2f);
@@ -370,12 +373,12 @@ TEST_F(KernelTest, TrainingStepIsBitwiseIdenticalAcrossTargets) {
 }
 
 TEST_F(KernelTest, DispatchStateRoundTrips) {
-  EXPECT_TRUE(kernel::simd_enabled() == kernel::simd_supported());
-  kernel::set_simd_enabled(false);
-  EXPECT_FALSE(kernel::simd_enabled());
+  EXPECT_EQ(kernel::current_target(), kernel::best_supported_target());
+  kernel::set_target(kernel::Target::kScalar);
+  EXPECT_EQ(kernel::current_target(), kernel::Target::kScalar);
   EXPECT_STREQ(kernel::active_target(), "scalar");
-  kernel::set_simd_enabled(true);
-  EXPECT_EQ(kernel::simd_enabled(), kernel::simd_supported());
+  kernel::set_target(kernel::best_supported_target());
+  EXPECT_EQ(kernel::current_target(), kernel::best_supported_target());
   EXPECT_STREQ(kernel::active_target(),
                kernel::target_name(kernel::best_supported_target()));
 
@@ -427,7 +430,7 @@ TEST_F(KernelTest, KernelsTolerateUnalignedTensorInteriorSlices) {
               kernel::dot(aligned_a.data(), aligned_b.data(), 100))
         << kernel::target_name(t);
   }
-  kernel::set_simd_enabled(true);
+  kernel::set_target(kernel::best_supported_target());
 }
 
 // matmul_ta must reproduce, bit for bit, the accumulation order of the
@@ -460,7 +463,7 @@ TEST_F(KernelTest, MatmulTaMatchesLegacyLoopBitwiseAndDoubleReference) {
     kernel::matmul_ta(a.data(), b.data(), out.data(), m, k, n);
     EXPECT_TRUE(bitwise_equal(legacy, out)) << kernel::target_name(t);
   }
-  kernel::set_simd_enabled(true);
+  kernel::set_target(kernel::best_supported_target());
 
   AlignedFloats out(static_cast<std::size_t>(k) * n, 0.0f);
   kernel::matmul_ta(a.data(), b.data(), out.data(), m, k, n);

@@ -9,8 +9,6 @@
 // Options:
 //   --threads N   worker threads for `tune` (default 0 = hardware
 //                 concurrency; 1 runs fully serial)
-//   --no-simd     force the portable scalar nn kernels instead of the
-//                 runtime-dispatched SIMD ones (identical results, slower)
 //   --kernel-target T
 //                 force a specific nn kernel dispatch target
 //                 (scalar|avx2|auto); unsupported targets clamp
@@ -231,10 +229,6 @@ int main(int argc, char** argv) {
         return 1;
       }
       shell.set_threads(std::atoi(argv[++i]));
-      continue;
-    }
-    if (arg == "--no-simd") {
-      shell.set_simd(false);
       continue;
     }
     if (arg == "--kernel-target") {
