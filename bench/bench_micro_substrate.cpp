@@ -68,7 +68,9 @@ void BM_Pass(benchmark::State& state, opt::Transform t, const char* circuit) {
   }
 }
 BENCHMARK_CAPTURE(BM_Pass, rewrite, opt::Transform::kRw, "c2670");
+BENCHMARK_CAPTURE(BM_Pass, rewrite_zero, opt::Transform::kRwz, "c2670");
 BENCHMARK_CAPTURE(BM_Pass, refactor, opt::Transform::kRf, "c2670");
+BENCHMARK_CAPTURE(BM_Pass, refactor_zero, opt::Transform::kRfz, "c2670");
 BENCHMARK_CAPTURE(BM_Pass, resub, opt::Transform::kRs, "c2670");
 BENCHMARK_CAPTURE(BM_Pass, resub_zero, opt::Transform::kRsz, "c2670");
 // router is the circuit the serve benchmark's synthesis misses run on.

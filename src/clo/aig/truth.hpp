@@ -1,10 +1,11 @@
 #pragma once
 // Bit-parallel truth tables over up to 16 variables, plus the
-// Minato-Morreale irredundant sum-of-products (ISOP). Passes simulate cone
-// functions in an aig::Window (at most 8 leaves, inline words) and read
-// them out as TruthTables to re-synthesize them (opt::synthesize_into,
-// ISOP based) or to match cells (the mapper); po_truth_tables uses the
-// full 16 variables for exhaustive equivalence checks.
+// Minato-Morreale irredundant sum-of-products (ISOP). Rewriting and
+// refactoring simulate cone functions in an aig::Window (at most 8 leaves,
+// inline words) and read them out as TruthTables to re-synthesize them
+// (opt::build_function: decomposition and ISOP); the mapper and resub use
+// the window's inline words directly. po_truth_tables uses the full 16
+// variables for exhaustive equivalence checks.
 
 #include <cstdint>
 #include <string>

@@ -555,6 +555,7 @@ Tensor conv1d(const Tensor& x, const Tensor& weight, const Tensor& bias) {
                 const int shift = k - pad;
                 const int lo = shift < 0 ? -shift : 0;
                 const int hi = shift > 0 ? L - shift : L;
+                if (hi < lo) continue;  // the tap misses the row: K > 2L + 1
                 if (gw) {
                   pw->grad[(co * Ci + ci) * K + k] +=
                       kernel::dot(gy + lo, xi + lo + shift, hi - lo);

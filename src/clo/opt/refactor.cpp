@@ -39,24 +39,27 @@ PassStats refactor(Aig& g, const RefactorParams& params) {
     }
     if (!leaves_ok) continue;
     if (!window.simulate(g, n, leaves, kMaxConeNodes)) continue;
-    const auto tt = window.truth(aig::make_lit(n));
+    MiniAig mini(static_cast<int>(leaves.size()));
+    const Lit root = build_function(mini, window.truth(aig::make_lit(n)));
     std::vector<Lit> leaf_lits;
     leaf_lits.reserve(leaves.size());
     for (std::uint32_t leaf : leaves) leaf_lits.push_back(aig::make_lit(leaf));
-    const auto cand = synthesize_into(g, tt, leaf_lits);
+    const std::size_t before = g.num_ands();
+    const Lit lit = mini.replay(g, root, leaf_lits);
     // Recompute MFFC after building so strash reuse of soon-to-die nodes
     // cannot inflate the gain (the candidate now references them).
-    const int gain = g.mffc_size(n) - cand.added_nodes;
-    const bool identity = aig::lit_node(cand.lit) == n;
-    const bool cyclic = !identity && g.reaches(cand.lit, n, leaves);
+    const int gain =
+        g.mffc_size(n) - static_cast<int>(g.num_ands() - before);
+    const bool identity = aig::lit_node(lit) == n;
+    const bool cyclic = !identity && g.reaches(lit, n, leaves);
     const bool accept =
         !identity && !cyclic &&
         (gain > 0 || (params.zero_cost && gain == 0));
     if (accept) {
-      g.replace(n, cand.lit);
+      g.replace(n, lit);
       ++stats.accepted_moves;
     } else {
-      g.sweep(cand.lit);
+      g.sweep(lit);
     }
   }
   g.cleanup();

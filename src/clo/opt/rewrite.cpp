@@ -11,7 +11,6 @@ namespace clo::opt {
 using aig::Aig;
 using aig::Cut;
 using aig::Lit;
-using aig::TruthTable;
 
 namespace {
 
@@ -31,9 +30,12 @@ PassStats rewrite(Aig& g, const RewriteParams& params) {
   aig::CutSet cuts(g, kMaxCutsPerNode);
   aig::Window window;
   const auto order = g.topo_order();
+  // A scored cut keeps the structure it was priced with; phase B replays
+  // that same structure, so each candidate is built exactly once.
   struct Scored {
     int estimated_gain;
-    TruthTable tt;
+    MiniAig mini;
+    Lit root;
     const Cut* cut;
   };
   std::vector<Scored> scored;
@@ -41,7 +43,7 @@ PassStats rewrite(Aig& g, const RewriteParams& params) {
     if (!g.is_and(n)) continue;  // died in an earlier replacement
     const int mffc = g.mffc_size(n);
     const int min_gain = params.zero_cost ? 0 : 1;
-    // Phase A: score every cut without touching the graph.
+    // Phase A: build and score every cut without touching the graph.
     scored.clear();
     for (const Cut& cut : cuts.cuts_of(n)) {
       if (cut.leaves.size() < 2) continue;  // trivial or constant cut
@@ -54,12 +56,13 @@ PassStats rewrite(Aig& g, const RewriteParams& params) {
       }
       if (!leaves_ok) continue;
       if (!window.simulate(g, n, cut.leaves, kMaxConeNodes)) continue;
-      TruthTable tt = window.truth(aig::make_lit(n));
+      MiniAig mini(static_cast<int>(cut.leaves.size()));
+      const Lit root = build_function(mini, window.truth(aig::make_lit(n)));
       // Pessimistic estimate (ignores strash sharing): allow slack that
       // sharing may recover during the exact evaluation below.
-      const int est = mffc - estimate_cost(tt);
+      const int est = mffc - mini.cone_size(root);
       if (est < min_gain - 3) continue;
-      scored.push_back(Scored{est, std::move(tt), &cut});
+      scored.push_back(Scored{est, std::move(mini), root, &cut});
     }
     std::sort(scored.begin(), scored.end(),
               [](const Scored& a, const Scored& b) {
@@ -75,15 +78,17 @@ PassStats rewrite(Aig& g, const RewriteParams& params) {
       for (std::uint32_t leaf : s.cut->leaves) {
         leaf_lits.push_back(aig::make_lit(leaf));
       }
-      const auto cand = synthesize_into(g, s.tt, leaf_lits);
-      const int gain = g.mffc_size(n) - cand.added_nodes;
-      const bool identity = aig::lit_node(cand.lit) == n;
-      const bool cyclic = !identity && g.reaches(cand.lit, n, s.cut->leaves);
+      const std::size_t before = g.num_ands();
+      const Lit lit = s.mini.replay(g, s.root, leaf_lits);
+      const int added_nodes = static_cast<int>(g.num_ands() - before);
+      const int gain = g.mffc_size(n) - added_nodes;
+      const bool identity = aig::lit_node(lit) == n;
+      const bool cyclic = !identity && g.reaches(lit, n, s.cut->leaves);
       if (identity || cyclic || gain < min_gain) {
-        g.sweep(cand.lit);
+        g.sweep(lit);
         continue;
       }
-      g.replace(n, cand.lit);
+      g.replace(n, lit);
       ++stats.accepted_moves;
       break;
     }

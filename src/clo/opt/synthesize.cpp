@@ -90,8 +90,9 @@ Lit build_sop(MiniAig& mini, const std::vector<Cube>& cubes, int num_vars) {
   return balanced_or(mini, std::move(terms));
 }
 
-/// Build both strategies in `mini`; return the cheaper output literal.
-Lit build_best(MiniAig& mini, const TruthTable& tt) {
+}  // namespace
+
+Lit build_function(MiniAig& mini, const TruthTable& tt) {
   // Innermost synthesis hot path: honor the ambient request token so a
   // cancel/deadline fires mid-rewrite, not only between passes.
   util::cancel_point();
@@ -110,28 +111,6 @@ Lit build_best(MiniAig& mini, const TruthTable& tt) {
   const int cost_sop = mini.cone_size(by_sop);
 
   return cost_sop < cost_decomp ? by_sop : by_decomp;
-}
-
-}  // namespace
-
-Lit build_function(MiniAig& mini, const TruthTable& tt) {
-  return build_best(mini, tt);
-}
-
-SynthesizedCandidate synthesize_into(aig::Aig& g, const TruthTable& tt,
-                                     const std::vector<Lit>& leaf_lits) {
-  MiniAig mini(tt.num_vars());
-  const Lit root = build_best(mini, tt);
-  SynthesizedCandidate out;
-  const std::size_t before = g.num_ands();
-  out.lit = mini.replay(g, root, leaf_lits);
-  out.added_nodes = static_cast<int>(g.num_ands() - before);
-  return out;
-}
-
-int estimate_cost(const TruthTable& tt) {
-  MiniAig mini(tt.num_vars());
-  return mini.cone_size(build_best(mini, tt));
 }
 
 }  // namespace clo::opt

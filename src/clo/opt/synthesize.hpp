@@ -1,11 +1,11 @@
 #pragma once
 // Resynthesis of a cut/cone function back into AIG structure. Two
-// strategies are costed in a scratch MiniAig and the cheaper one wins:
+// strategies are built into the caller's MiniAig and the smaller one wins:
 //  * recursive Shannon/AND/XOR decomposition (BDD-flavored, memoized),
 //  * ISOP covers of the function and its complement (SOP-flavored).
-// Used by rewriting (k = 4 cuts) and refactoring (reconvergence cones).
-
-#include <vector>
+// Rewriting (k <= 4 cuts) and refactoring (k <= 8 windows) build each
+// candidate once with it, price it by MiniAig::cone_size and commit it
+// with MiniAig::replay.
 
 #include "clo/aig/aig.hpp"
 #include "clo/aig/truth.hpp"
@@ -16,20 +16,5 @@ namespace clo::opt {
 /// Build `tt` over `mini.leaf(i)` inputs; returns the output literal.
 /// Tries decomposition and both-polarity SOP, keeps the smaller.
 aig::Lit build_function(MiniAig& mini, const aig::TruthTable& tt);
-
-/// Result of synthesizing a candidate directly into a real AIG.
-struct SynthesizedCandidate {
-  aig::Lit lit = aig::kLitNull;
-  int added_nodes = 0;  ///< AND nodes newly created in the target graph
-};
-
-/// Synthesize `tt` over `leaf_lits` into `g` (with global strash sharing)
-/// and report exactly how many new nodes were created.
-SynthesizedCandidate synthesize_into(aig::Aig& g, const aig::TruthTable& tt,
-                                     const std::vector<aig::Lit>& leaf_lits);
-
-/// Lower-bound estimate of the structure cost (MiniAig nodes) without
-/// touching the target graph — cheap pre-screen for rewriting.
-int estimate_cost(const aig::TruthTable& tt);
 
 }  // namespace clo::opt

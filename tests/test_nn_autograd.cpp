@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <functional>
+#include <string>
 
 #include "clo/nn/ops.hpp"
 #include "clo/nn/tensor.hpp"
@@ -140,13 +141,32 @@ TEST(Autograd, LayerNorm) {
 }
 
 TEST(Autograd, Conv1d) {
-  const Tensor w = random_tensor({3, 2, 3}, 26, 0.5f);
-  const Tensor b = random_tensor({3}, 27);
-  grad_check(random_tensor({2, 2, 6}, 28),
-             [&](const Tensor& x) { return sum_all(conv1d(x, w, b)); });
-  const Tensor x2 = random_tensor({2, 2, 6}, 29);
-  grad_check(random_tensor({3, 2, 3}, 30, 0.5f),
-             [&](const Tensor& w2) { return sum_all(conv1d(x2, w2, b)); });
+  // Gradients of x, w and b at every odd width K and short lengths L,
+  // including K > L (the padding covers both ends of the row), under a
+  // non-uniform upstream gradient: a weighted sum, so a mixed-up index
+  // cannot hide behind a gradient that is the same everywhere.
+  const int B = 2, Ci = 2, Co = 3;
+  std::uint64_t seed = 100;
+  for (int K : {1, 3, 5}) {
+    for (int L : {1, 2, 3, 7}) {
+      SCOPED_TRACE("K=" + std::to_string(K) + " L=" + std::to_string(L));
+      clo::Rng upstream_rng(seed++);
+      const Tensor upstream =
+          Tensor::randn({B, Co, L}, upstream_rng, 1.0f, false);
+      const Tensor x = random_tensor({B, Ci, L}, seed++);
+      const Tensor w = random_tensor({Co, Ci, K}, seed++, 0.5f);
+      const Tensor b = random_tensor({Co}, seed++);
+      auto loss = [&](const Tensor& xx, const Tensor& ww, const Tensor& bb) {
+        return sum_all(mul(conv1d(xx, ww, bb), upstream));
+      };
+      grad_check(random_tensor({B, Ci, L}, seed++),
+                 [&](const Tensor& t) { return loss(t, w, b); });
+      grad_check(random_tensor({Co, Ci, K}, seed++, 0.5f),
+                 [&](const Tensor& t) { return loss(x, t, b); });
+      grad_check(random_tensor({Co}, seed++),
+                 [&](const Tensor& t) { return loss(x, w, t); });
+    }
+  }
 }
 
 TEST(Autograd, PoolingAndUpsample) {

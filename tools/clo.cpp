@@ -36,6 +36,10 @@
 //                 "evaluator.synthesize=2,optimizer.restart=p0.5,seed=7";
 //                 "--fault list" prints the registered sites and exits.
 //                 The CLO_FAULT environment variable is honored too.
+//
+// Any other argument starting with "--", and an unknown --kernel-target,
+// is a usage error: it is named on stderr and clo exits with status 2. An
+// argument without the "--" prefix is a script path.
 
 #include <atomic>
 #include <chrono>
@@ -239,7 +243,7 @@ int main(int argc, char** argv) {
       if (!shell.set_kernel_target(argv[++i])) {
         std::cerr << "unknown kernel target '" << argv[i]
                   << "' (want scalar|avx2|auto)\n";
-        return 1;
+        return 2;
       }
       continue;
     }
@@ -324,6 +328,10 @@ int main(int argc, char** argv) {
         return 1;
       }
       continue;
+    }
+    if (arg.rfind("--", 0) == 0) {
+      std::cerr << "unknown option '" << arg << "'\n";
+      return 2;
     }
     args.push_back(arg);
   }
