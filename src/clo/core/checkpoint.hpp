@@ -28,8 +28,9 @@ namespace clo::core {
 
 /// FNV-1a accumulator for the checkpoint config hash. Callers feed every
 /// knob that changes a checkpointed phase's bits (circuit fingerprint,
-/// seed, model/training hyperparameters, the data-parallel rounding mode)
-/// and compare the digest against the one stored in the file.
+/// seed, model/training hyperparameters; not the thread count, which
+/// changes none) and compare the digest against the one stored in the
+/// file.
 class ConfigHasher {
  public:
   ConfigHasher& add(std::uint64_t v);

@@ -33,7 +33,7 @@ void clip_gradient(std::vector<float>* grad, double max_norm) {
 
 /// The non-finite-latent guard: a NaN/Inf latent would silently decode to
 /// a garbage nearest-embedding sequence, so surface it as a failure the
-/// tolerant restart driver can retry instead.
+/// restart driver can retry instead.
 void check_latent_finite(const std::vector<float>& x) {
   for (float v : x) {
     if (!std::isfinite(v)) {
@@ -206,6 +206,15 @@ void ContinuousOptimizer::run_impl_batch(
 
   std::vector<std::vector<float>> grads;
   std::vector<std::vector<OptimizeTracePoint>> traces(R);
+  // About 16 trace points per run, the last at t = 0.
+  auto trace_step = [&](int t, const std::vector<double>& objs) {
+    if (t % std::max(1, T / 16) != 0 && t != 0) return;
+    std::vector<double> disc;
+    embedding_.retrieve_batch(x, L, &disc);
+    for (std::size_t r = 0; r < R; ++r) {
+      traces[r].push_back({t, disc[r], objs[r]});
+    }
+  };
 
   if (!params_.use_diffusion) {
     // Eq. 14 in lockstep: one [R, L*d] surrogate forward+backward per step.
@@ -220,12 +229,7 @@ void ContinuousOptimizer::run_impl_batch(
       for (std::size_t r = 0; r < R; ++r) {
         for (std::size_t i = 0; i < elems; ++i) x[r][i] -= step * grads[r][i];
       }
-      if (t % std::max(1, T / 16) == 0 || t == 0) {
-        const auto disc = embedding_.discrepancy_batch(x, L);
-        for (std::size_t r = 0; r < R; ++r) {
-          traces[r].push_back({t, disc[r], objs[r]});
-        }
-      }
+      trace_step(t, objs);
     }
   } else {
     // Eq. 13 in lockstep: one [R, d, L] U-Net forward and one [R, L*d]
@@ -266,17 +270,12 @@ void ContinuousOptimizer::run_impl_batch(
           }
         }
       }
-      if (t % std::max(1, T / 16) == 0 || t == 0) {
-        const auto disc = embedding_.discrepancy_batch(x, L);
-        for (std::size_t r = 0; r < R; ++r) {
-          traces[r].push_back({t, disc[r], objs[r]});
-        }
-      }
+      trace_step(t, objs);
     }
   }
 
   // A single poisoned row cannot contaminate its neighbors (no nn op mixes
-  // batch rows), but it must still abort the chunk: the tolerant driver
+  // batch rows), but it must still abort the chunk: run_restarts
   // re-runs the chunk's restarts individually to sort good from bad.
   for (std::size_t r = 0; r < R; ++r) check_latent_finite(x[r]);
 
@@ -307,28 +306,16 @@ void ContinuousOptimizer::run_impl_batch(
 
 std::vector<OptimizeResult> ContinuousOptimizer::run_restarts(
     clo::Rng& rng, int count, util::ThreadPool* pool,
-    const util::CancelToken* cancel) {
-  const auto noise = noise_streams(rng, count, noise_count());
-  RestartScope scope(*this, count, cancel);
-  const Chunking chunking(pool, count);
-  std::vector<OptimizeResult> results(count);
-  util::parallel_for(pool, chunking.chunks, [&](std::size_t c) {
-    run_impl_batch(noise, chunking.lo(c), chunking.hi(c), &results);
-  });
-  return results;
-}
-
-std::vector<OptimizeResult> ContinuousOptimizer::run_restarts_tolerant(
-    clo::Rng& rng, int count, util::ThreadPool* pool,
     std::vector<RestartFailure>* failures, const util::CancelToken* cancel) {
-  // The primary noise blocks come first, in the exact run_restarts order,
-  // so the fault-free trajectories are bit-identical to run_restarts. The
-  // retry Rngs are forked only afterwards: they perturb the main stream's
-  // state past every block, so they are invisible unless a retry happens.
+  // The noise blocks leave `rng` just past the last one. The retry Rngs
+  // are forked from a copy of that state (a fork depends only on the
+  // state), so the caller's stream never sees them and they change nothing
+  // unless a retry happens.
   const auto noise = noise_streams(rng, count, noise_count());
+  clo::Rng retry_parent = rng;
   std::vector<clo::Rng> retry_rng;
   retry_rng.reserve(count);
-  for (int r = 0; r < count; ++r) retry_rng.push_back(rng.fork());
+  for (int r = 0; r < count; ++r) retry_rng.push_back(retry_parent.fork());
 
   RestartScope scope(*this, count, cancel);
   const Chunking chunking(pool, count);

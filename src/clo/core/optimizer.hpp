@@ -5,7 +5,10 @@
 // the feasible-embedding manifold, minimizing H(x)) and the surrogate's
 // QoR gradient evaluated at the noise-free reparameterization x̂_t
 // (Eq. 12/13). On t = 0 the sequence is retrieved instantly by nearest-
-// embedding decode. The ablation mode (Eq. 14) drops the diffusion term.
+// embedding decode (TransformEmbedding::retrieve_batch, which also gives
+// every trace point's discrepancy). The ablation mode (Eq. 14) drops the
+// diffusion term. run_restarts is the one driver: lockstep batched
+// restarts with retry and quarantine of the ones that fail.
 
 #include <memory>
 #include <string>
@@ -68,29 +71,6 @@ class ContinuousOptimizer {
                       const models::TransformEmbedding& embedding,
                       OptimizeParams params = {});
 
-  /// `count` independent runs of Algorithm 2 (the paper samples several
-  /// latents and keeps the best after validation). Each restart's Gaussian
-  /// draws are a fixed block of `rng`'s stream, blocks taken serially,
-  /// restart by restart, before the compute fans out. Restarts then
-  /// advance in lockstep through the schedule: one [chunk, d, L] U-Net
-  /// forward and one [chunk, L*d] surrogate forward+backward per denoising
-  /// step, one contiguous chunk per pool worker. No nn op mixes batch
-  /// rows, so every restart's trajectory is the same pure function of its
-  /// noise block in any chunking — results are bit-identical for any
-  /// `pool` worker count,
-  /// including the serial `pool == nullptr` path. Model weights are
-  /// grad-frozen for the duration (restarts only read them), which makes
-  /// the concurrent backward passes through the shared surrogate
-  /// race-free.
-  /// `cancel` (both drivers' trailing parameter) is polled once per
-  /// denoising timestep; a fired token aborts every in-flight restart with
-  /// util::CancelledError. Cancellation deliberately bypasses the tolerant
-  /// driver's retry/quarantine machinery — a cancelled run must surface as
-  /// an error, never as a quarantined-but-cacheable result.
-  std::vector<OptimizeResult> run_restarts(
-      clo::Rng& rng, int count, util::ThreadPool* pool = nullptr,
-      const util::CancelToken* cancel = nullptr);
-
   /// A restart that failed both its normal run and its fresh-noise retry,
   /// and was therefore quarantined (its result slot left default).
   struct RestartFailure {
@@ -98,20 +78,38 @@ class ContinuousOptimizer {
     std::string message;
   };
 
-  /// Fault-tolerant run_restarts: identical noise blocks, so when nothing
-  /// fails the results are bit-identical to run_restarts for the same rng
-  /// state. A restart that throws (injected fault, synthesis error, or the
-  /// non-finite-latent guard) is re-run serially as a batch of one on its
-  /// original noise — which also recovers the innocent neighbors of a
-  /// failed lockstep chunk without changing their trajectories — and, if
-  /// it fails again, retried once on fresh noise drawn from an Rng
-  /// pre-forked for that restart (forked after the primary draws, so
-  /// fault-free trajectories are unaffected). Restarts that still fail are
-  /// quarantined: their slot in the returned vector stays
-  /// default-constructed (empty sequence) and an entry is appended to
-  /// `failures`. Survivors keep the exact sequences they would have
-  /// produced with no failures present.
-  std::vector<OptimizeResult> run_restarts_tolerant(
+  /// `count` independent runs of Algorithm 2 (the paper samples several
+  /// latents and keeps the best after validation). Each restart's Gaussian
+  /// draws are a fixed block of `rng`'s stream, blocks taken serially,
+  /// restart by restart, before the compute fans out; `rng` ends just past
+  /// the last block. Restarts then advance in lockstep through the
+  /// schedule: one [chunk, d, L] U-Net forward and one [chunk, L*d]
+  /// surrogate forward+backward per denoising step, one contiguous chunk
+  /// per pool worker. No nn op mixes batch rows, so every restart's
+  /// trajectory is the same pure function of its noise block in any
+  /// chunking — results are bit-identical for any `pool` worker count,
+  /// including the serial `pool == nullptr` path. Model weights are
+  /// grad-frozen for the duration (restarts only read them), which makes
+  /// the concurrent backward passes through the shared surrogate
+  /// race-free.
+  ///
+  /// Failures are tolerated. A restart that throws (injected fault,
+  /// synthesis error, or the non-finite-latent guard) is re-run serially
+  /// as a batch of one on its original noise — which also recovers the
+  /// innocent neighbors of a failed lockstep chunk without changing their
+  /// trajectories — and, if it fails again, retried once on fresh noise
+  /// from an Rng forked for that restart off a copy of `rng`'s final
+  /// state. Restarts that still fail are quarantined: their slot in the
+  /// returned vector stays default-constructed (empty sequence) and an
+  /// entry is appended to `failures` when it is non-null. Survivors keep
+  /// the exact sequences they would have produced with no failures
+  /// present.
+  ///
+  /// `cancel` is polled once per denoising timestep; a fired token aborts
+  /// every in-flight restart with util::CancelledError. Cancellation
+  /// bypasses the retry/quarantine machinery — a cancelled run must
+  /// surface as an error, never as a quarantined-but-cacheable result.
+  std::vector<OptimizeResult> run_restarts(
       clo::Rng& rng, int count, util::ThreadPool* pool = nullptr,
       std::vector<RestartFailure>* failures = nullptr,
       const util::CancelToken* cancel = nullptr);
@@ -134,7 +132,7 @@ class ContinuousOptimizer {
   /// writes results[begin + r].
   void run_impl_batch(const std::vector<clo::Rng>& noise, std::size_t begin,
                       std::size_t end, std::vector<OptimizeResult>* results);
-  /// RAII state of one run_restarts / run_restarts_tolerant call.
+  /// RAII state of one run_restarts call.
   struct RestartScope;
 
   models::SurrogateModel& surrogate_;
@@ -142,13 +140,13 @@ class ContinuousOptimizer {
   const models::TransformEmbedding& embedding_;
   OptimizeParams params_;
   /// Restart-loop progress ("progress.optimize" gauges). Installed by
-  /// run_restarts / run_restarts_tolerant for their duration and ticked
+  /// run_restarts for its duration and ticked
   /// once per denoising step by run_impl_batch; tick() is
   /// thread-safe, so the concurrent restarts share one reporter. Never
   /// read by the math — purely observational.
   obs::Progress* progress_ = nullptr;
-  /// Cancellation token borrowed for the duration of run_restarts /
-  /// run_restarts_tolerant (same install/clear discipline as progress_)
+  /// Cancellation token borrowed for the duration of run_restarts
+  /// (same install/clear discipline as progress_)
   /// and polled per denoising timestep by run_impl_batch.
   /// Checks are pure reads: an unfired token cannot perturb results.
   const util::CancelToken* cancel_ = nullptr;

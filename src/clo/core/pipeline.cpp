@@ -314,7 +314,7 @@ PipelineResult CloPipeline::optimize(QorEvaluator& evaluator, int restarts,
     Stopwatch w;
     ScopedTimer st(w);
     const double cpu0 = util::proc::cpu_seconds();
-    result.restarts = optimizer.run_restarts_tolerant(
+    result.restarts = optimizer.run_restarts(
         rng, restarts, pool, &result.optimize_quarantined, cancel);
     result.optimize_seconds = w.seconds();
     result.optimize_cpu_seconds = util::proc::cpu_seconds() - cpu0;

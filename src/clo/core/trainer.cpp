@@ -88,10 +88,10 @@ TrainReport train_surrogate(models::SurrogateModel& model,
         batch_loss = std::numeric_limits<double>::quiet_NaN();
       }
       if (!std::isfinite(batch_loss)) {
-        if (++report.lr_backoffs > kMaxLrBackoffs) {
+        if (++report.lr_backoffs > nn::kMaxLrBackoffs) {
           throw std::runtime_error(
               "train_surrogate: diverged (non-finite loss after " +
-              std::to_string(kMaxLrBackoffs) + " LR backoffs)");
+              std::to_string(nn::kMaxLrBackoffs) + " LR backoffs)");
         }
         for (std::size_t p = 0; p < live_params.size(); ++p) {
           live_params[p].impl()->data = last_good[p];

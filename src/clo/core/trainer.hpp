@@ -28,13 +28,9 @@ struct TrainReport {
   std::vector<double> epoch_loss;
   /// Divergence recoveries: times a non-finite batch loss triggered a
   /// rollback to the last good weights plus an LR halving. Training
-  /// throws after kMaxLrBackoffs of them.
+  /// throws after nn::kMaxLrBackoffs of them.
   int lr_backoffs = 0;
 };
-
-/// Divergence recoveries allowed before training gives up (surrogate and
-/// diffusion alike).
-inline constexpr int kMaxLrBackoffs = 6;
 
 /// Train `model` on the dataset with serial batched minibatches, so the
 /// result is identical at any thread count.

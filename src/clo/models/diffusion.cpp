@@ -127,20 +127,6 @@ void from_channel_layout_into(const float* chan, int L, int d, float* flat) {
   }
 }
 
-std::vector<float> to_channel_layout(const std::vector<float>& flat, int L,
-                                     int d) {
-  std::vector<float> out(flat.size());
-  to_channel_layout_into(flat.data(), L, d, out.data());
-  return out;
-}
-
-std::vector<float> from_channel_layout(const std::vector<float>& chan, int L,
-                                       int d) {
-  std::vector<float> out(chan.size());
-  from_channel_layout_into(chan.data(), L, d, out.data());
-  return out;
-}
-
 DiffusionModel::DiffusionModel(const DiffusionConfig& cfg, clo::Rng& rng)
     : cfg_(cfg), schedule_(cfg.num_steps),
       unet_(std::make_unique<DiffusionUNet>(cfg, rng)) {}
@@ -182,11 +168,12 @@ DiffusionModel::TrainStats DiffusionModel::train(
       ts[b] = t;
       const float sa = std::sqrt(schedule_.alpha_bar(t));
       const float sb = std::sqrt(1.0f - schedule_.alpha_bar(t));
-      const auto chan = to_channel_layout(x0, L, d);
+      float* xb = x.data().data() + static_cast<std::size_t>(b) * d * L;
+      to_channel_layout_into(x0.data(), L, d, xb);
       for (int i = 0; i < d * L; ++i) {
         const float e = static_cast<float>(rng.next_gaussian());
         eps.data()[b * d * L + i] = e;
-        x.data()[b * d * L + i] = sa * chan[i] + sb * e;  // Eq. (10) inner
+        xb[i] = sa * xb[i] + sb * e;  // Eq. (10) inner
       }
     }
     Tensor pred = unet_->forward(x, ts);
@@ -197,10 +184,10 @@ DiffusionModel::TrainStats DiffusionModel::train(
       loss_val = std::numeric_limits<double>::quiet_NaN();
     }
     if (!std::isfinite(loss_val)) {
-      if (++stats.lr_backoffs > kMaxLrBackoffs) {
+      if (++stats.lr_backoffs > nn::kMaxLrBackoffs) {
         throw std::runtime_error(
             "diffusion train: diverged (non-finite loss after " +
-            std::to_string(kMaxLrBackoffs) + " LR backoffs)");
+            std::to_string(nn::kMaxLrBackoffs) + " LR backoffs)");
       }
       for (std::size_t p = 0; p < params.size(); ++p) {
         params[p].impl()->data = last_good[p];

@@ -98,13 +98,9 @@ class DiffusionModel {
     std::vector<double> loss_curve;
     /// Divergence recoveries: times a non-finite iteration loss triggered
     /// a rollback to the last good weights plus an LR halving. Training
-    /// throws after kMaxLrBackoffs of them.
+    /// throws after nn::kMaxLrBackoffs of them.
     int lr_backoffs = 0;
   };
-
-  /// Divergence recoveries allowed before train() gives up (matches the
-  /// surrogate trainer's core::kMaxLrBackoffs policy).
-  static constexpr int kMaxLrBackoffs = 6;
 
   /// Algorithm 1: train the denoiser on N flattened [L*d] sequences.
   /// `cancel` is polled once per iteration; a fired token aborts with
@@ -129,16 +125,10 @@ class DiffusionModel {
   std::unique_ptr<DiffusionUNet> unet_;
 };
 
-/// Layout helpers between flattened [L*d] (position-major, as produced by
-/// TransformEmbedding::embed) and the U-Net's [1, d, L] channel layout.
-std::vector<float> to_channel_layout(const std::vector<float>& flat, int L,
-                                     int d);
-std::vector<float> from_channel_layout(const std::vector<float>& chan, int L,
-                                       int d);
-
-/// Allocation-free variants writing into caller-provided [d*L] storage —
-/// the building blocks for batched [R, d, L] transposes (each batch row is
-/// transposed independently into its slice of one contiguous buffer).
+/// Layout transposes between one flattened [L*d] latent (position-major, as
+/// produced by TransformEmbedding::embed) and one [d, L] row of the U-Net's
+/// [B, d, L] input, written into caller-provided storage: each batch row is
+/// transposed straight into its slice of one contiguous buffer.
 void to_channel_layout_into(const float* flat, int L, int d, float* chan);
 void from_channel_layout_into(const float* chan, int L, int d, float* flat);
 

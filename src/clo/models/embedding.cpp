@@ -1,6 +1,5 @@
 #include "clo/models/embedding.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -68,58 +67,6 @@ std::vector<float> TransformEmbedding::embed(const opt::Sequence& seq) const {
   return out;
 }
 
-namespace {
-
-/// One table scan: index of the nearest embedding row and (via out
-/// param) its squared distance. First-lowest tie-break; distances go
-/// through kernel::sqdist, whose fixed 8-lane reduction makes the winning
-/// index identical on both dispatch targets (this is the scan behind every
-/// retrieved sequence, so the dispatch target must not change it).
-int nearest_scan(const float* point, int dim,
-                 const std::vector<std::vector<float>>& table,
-                 float* best_d2_out) {
-  int best = 0;
-  float best_d2 = 1e30f;
-  for (int t = 0; t < opt::kNumTransforms; ++t) {
-    const float d2 = nn::kernel::sqdist(point, table[t].data(), dim);
-    if (d2 < best_d2) {
-      best_d2 = d2;
-      best = t;
-    }
-  }
-  *best_d2_out = best_d2;
-  return best;
-}
-
-}  // namespace
-
-opt::Transform TransformEmbedding::nearest(const float* point) const {
-  float best_d2 = 0.0f;
-  return static_cast<opt::Transform>(
-      nearest_scan(point, dim_, table_, &best_d2));
-}
-
-opt::Sequence TransformEmbedding::retrieve(const std::vector<float>& latent,
-                                           int length) const {
-  opt::Sequence seq(length);
-  for (int p = 0; p < length; ++p) {
-    seq[p] = nearest(latent.data() + static_cast<std::size_t>(p) * dim_);
-  }
-  return seq;
-}
-
-double TransformEmbedding::discrepancy(const std::vector<float>& latent,
-                                       int length) const {
-  double total = 0.0;
-  for (int p = 0; p < length; ++p) {
-    const float* point = latent.data() + static_cast<std::size_t>(p) * dim_;
-    float best_d2 = 0.0f;
-    nearest_scan(point, dim_, table_, &best_d2);
-    total += std::sqrt(static_cast<double>(best_d2));
-  }
-  return total / length;
-}
-
 std::vector<opt::Sequence> TransformEmbedding::retrieve_batch(
     const std::vector<std::vector<float>>& latents, int length,
     std::vector<double>* out_discrepancy) const {
@@ -132,23 +79,25 @@ std::vector<opt::Sequence> TransformEmbedding::retrieve_batch(
     for (int p = 0; p < length; ++p) {
       const float* point =
           latents[r].data() + static_cast<std::size_t>(p) * dim_;
-      float best_d2 = 0.0f;
-      seqs[r][p] = static_cast<opt::Transform>(
-          nearest_scan(point, dim_, table_, &best_d2));
+      // First-lowest tie-break; distances go through kernel::sqdist, whose
+      // fixed 8-lane reduction makes the winning row identical on both
+      // dispatch targets (this scan decides every retrieved sequence, so
+      // the dispatch target must not change it).
+      int best = 0;
+      float best_d2 = 1e30f;
+      for (int t = 0; t < opt::kNumTransforms; ++t) {
+        const float d2 = nn::kernel::sqdist(point, table_[t].data(), dim_);
+        if (d2 < best_d2) {
+          best_d2 = d2;
+          best = t;
+        }
+      }
+      seqs[r][p] = static_cast<opt::Transform>(best);
       total += std::sqrt(static_cast<double>(best_d2));
     }
     if (out_discrepancy != nullptr) (*out_discrepancy)[r] = total / length;
   }
   return seqs;
-}
-
-std::vector<double> TransformEmbedding::discrepancy_batch(
-    const std::vector<std::vector<float>>& latents, int length) const {
-  std::vector<double> out(latents.size(), 0.0);
-  for (std::size_t r = 0; r < latents.size(); ++r) {
-    out[r] = discrepancy(latents[r], length);
-  }
-  return out;
 }
 
 }  // namespace clo::models

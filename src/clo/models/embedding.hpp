@@ -3,7 +3,9 @@
 // to a point in R^d. The diffusion model learns the distribution of
 // sequences of these points; retrieval maps optimized latents back to the
 // nearest transformation per position (Section III-D — instant because the
-// denoising process keeps latents on the embedding manifold).
+// denoising process keeps latents on the embedding manifold). embed() is
+// the one way in and retrieve_batch() the one way out: a single table scan
+// per position decodes the sequence and measures its discrepancy.
 
 #include <vector>
 
@@ -35,28 +37,15 @@ class TransformEmbedding {
   /// Flattened [L * dim] embedding of a sequence.
   std::vector<float> embed(const opt::Sequence& seq) const;
 
-  /// Nearest-transformation decode of one position.
-  opt::Transform nearest(const float* point) const;
-
-  /// Decode a flattened [L * dim] latent back to a sequence.
-  opt::Sequence retrieve(const std::vector<float>& latent, int length) const;
-
-  /// Mean Euclidean distance from each position of `latent` to its nearest
-  /// feasible embedding — the paper's discrepancy H(x) proxy, reported in
-  /// the Fig. 7 experiment.
-  double discrepancy(const std::vector<float>& latent, int length) const;
-
-  /// Batched decode: one table scan per position retrieves the sequence
-  /// AND its discrepancy for every latent (the batched optimizer needs
-  /// both at every traced step; the separate retrieve/discrepancy calls
-  /// would scan the table twice). out_discrepancy may be null.
+  /// Decode flattened [length * dim] latents back to sequences: each
+  /// position becomes its nearest transformation. When `out_discrepancy`
+  /// is non-null, element r receives latent r's mean Euclidean distance
+  /// from each position to that nearest embedding — the paper's
+  /// discrepancy H(x) proxy, reported in the Fig. 7 experiment and traced
+  /// by the optimizer.
   std::vector<opt::Sequence> retrieve_batch(
       const std::vector<std::vector<float>>& latents, int length,
       std::vector<double>* out_discrepancy = nullptr) const;
-
-  /// Batched discrepancy over R latents.
-  std::vector<double> discrepancy_batch(
-      const std::vector<std::vector<float>>& latents, int length) const;
 
   /// All 7 embedding rows (for t-SNE plots).
   const std::vector<std::vector<float>>& table() const { return table_; }

@@ -28,7 +28,6 @@ float max_value(const float* a, std::size_t n);
 void axpy(float* y, float a, const float* x, std::size_t n);
 void acc(float* y, const float* x, std::size_t n);
 void add(float* out, const float* a, const float* b, std::size_t n);
-void sub(float* out, const float* a, const float* b, std::size_t n);
 void mul(float* out, const float* a, const float* b, std::size_t n);
 void scale(float* out, const float* a, float s, std::size_t n);
 void div_inplace(float* y, float z, std::size_t n);
@@ -215,10 +214,6 @@ void add(float* out, const float* a, const float* b, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) out[i] = a[i] + b[i];
 }
 
-void sub(float* out, const float* a, const float* b, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = a[i] - b[i];
-}
-
 void mul(float* out, const float* a, const float* b, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) out[i] = a[i] * b[i];
 }
@@ -326,10 +321,6 @@ void acc(float* y, const float* x, std::size_t n) {
 
 void add(float* out, const float* a, const float* b, std::size_t n) {
   CLO_KERNEL_DISPATCH(add(out, a, b, n));
-}
-
-void sub(float* out, const float* a, const float* b, std::size_t n) {
-  CLO_KERNEL_DISPATCH(sub(out, a, b, n));
 }
 
 void mul(float* out, const float* a, const float* b, std::size_t n) {

@@ -86,7 +86,6 @@ void axpy(float* y, float a, const float* x, std::size_t n);
 /// y[i] += x[i]
 void acc(float* y, const float* x, std::size_t n);
 void add(float* out, const float* a, const float* b, std::size_t n);
-void sub(float* out, const float* a, const float* b, std::size_t n);
 void mul(float* out, const float* a, const float* b, std::size_t n);
 /// out[i] = a[i] * s
 void scale(float* out, const float* a, float s, std::size_t n);

@@ -123,14 +123,6 @@ void add(float* out, const float* a, const float* b, std::size_t n) {
   for (; i < n; ++i) out[i] = a[i] + b[i];
 }
 
-void sub(float* out, const float* a, const float* b, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8)
-    _mm256_storeu_ps(out + i, _mm256_sub_ps(_mm256_loadu_ps(a + i),
-                                            _mm256_loadu_ps(b + i)));
-  for (; i < n; ++i) out[i] = a[i] - b[i];
-}
-
 void mul(float* out, const float* a, const float* b, std::size_t n) {
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8)

@@ -9,12 +9,26 @@
 namespace clo::nn {
 namespace {
 
+/// Whether backward should write into this node's grad buffer: tracked
+/// interior nodes and requires_grad leaves only. Frozen leaves (see
+/// GradFreeze) and plain constants are skipped — they would never be read,
+/// and skipping them is what makes concurrent backward passes over shared
+/// (frozen) weights race-free.
+bool wants_grad(const TensorImpl& p) {
+  return p.requires_grad || p.backward_fn != nullptr;
+}
+
+/// The one place an op records its autograd node: a zero-filled output of
+/// `shape` that, when recording is on and some parent wants a gradient,
+/// keeps `parents` and `backward_fn`. The closure receives the output node
+/// itself, so it reads the op's result from `self.data` and the upstream
+/// gradient from `self.grad`.
 Tensor make_result(std::vector<int> shape,
                    std::vector<std::shared_ptr<TensorImpl>> parents,
                    std::function<void(TensorImpl&)> backward_fn) {
   Tensor out = Tensor::zeros(std::move(shape));
   bool any_grad = false;
-  for (const auto& p : parents) any_grad = any_grad || p->requires_grad;
+  for (const auto& p : parents) any_grad = any_grad || wants_grad(*p);
   any_grad = any_grad && grad_enabled();
   out.impl()->requires_grad = any_grad;
   if (any_grad) {
@@ -29,15 +43,6 @@ void check_same_shape(const Tensor& a, const Tensor& b, const char* op) {
     throw std::invalid_argument(std::string(op) + ": shape mismatch " +
                                 a.shape_str() + " vs " + b.shape_str());
   }
-}
-
-/// Whether backward should write into this node's grad buffer: tracked
-/// interior nodes and requires_grad leaves only. Frozen leaves (see
-/// GradFreeze) and plain constants are skipped — they would never be read,
-/// and skipping them is what makes concurrent backward passes over shared
-/// (frozen) weights race-free.
-bool wants_grad(const TensorImpl& p) {
-  return p.requires_grad || p.backward_fn != nullptr;
 }
 
 void accumulate(const std::shared_ptr<TensorImpl>& p,
@@ -87,21 +92,6 @@ Tensor add_bias(const Tensor& a, const Tensor& b) {
   return out;
 }
 
-Tensor sub(const Tensor& a, const Tensor& b) {
-  check_same_shape(a, b, "sub");
-  auto pa = a.impl();
-  auto pb = b.impl();
-  Tensor out = make_result(a.shape(), {pa, pb}, [pa, pb](TensorImpl& self) {
-    accumulate(pa, self.grad);
-    if (!wants_grad(*pb)) return;
-    pb->ensure_grad();
-    kernel::axpy(pb->grad.data(), -1.0f, self.grad.data(), self.grad.size());
-  });
-  kernel::sub(out.data().data(), pa->data.data(), pb->data.data(),
-              out.numel());
-  return out;
-}
-
 Tensor mul(const Tensor& a, const Tensor& b) {
   check_same_shape(a, b, "mul");
   auto pa = a.impl();
@@ -131,32 +121,21 @@ Tensor scale(const Tensor& a, float s) {
   return out;
 }
 
-Tensor neg(const Tensor& a) { return scale(a, -1.0f); }
-
 namespace {
 
+/// Elementwise y = fwd(x) whose derivative is a function of y alone.
 template <typename Fwd, typename Dfn>
 Tensor unary_op(const Tensor& a, Fwd fwd, Dfn dydx_from_y) {
   auto pa = a.impl();
-  Tensor out = Tensor::zeros(a.shape());
+  Tensor out =
+      make_result(a.shape(), {pa}, [pa, dydx_from_y](TensorImpl& self) {
+        pa->ensure_grad();
+        for (std::size_t i = 0; i < self.grad.size(); ++i) {
+          pa->grad[i] += self.grad[i] * dydx_from_y(self.data[i]);
+        }
+      });
   for (std::size_t i = 0; i < out.numel(); ++i) {
     out.data()[i] = fwd(pa->data[i]);
-  }
-  auto po = out.impl();
-  bool needs =
-      (pa->requires_grad || pa->backward_fn != nullptr) && grad_enabled();
-  // Mirror make_result wiring but capture the output data for the backward.
-  if (needs) {
-    out.impl()->requires_grad = true;
-    out.impl()->parents = {pa};
-    FloatBuf y = out.data();
-    out.impl()->backward_fn = [pa, y = std::move(y),
-                               dydx_from_y](TensorImpl& self) {
-      pa->ensure_grad();
-      for (std::size_t i = 0; i < self.grad.size(); ++i) {
-        pa->grad[i] += self.grad[i] * dydx_from_y(y[i]);
-      }
-    };
   }
   return out;
 }
@@ -182,24 +161,19 @@ Tensor tanh_op(const Tensor& a) {
 }
 
 Tensor silu(const Tensor& a) {
-  // silu(x) = x * sigmoid(x); derivative needs x, so capture input.
+  // silu(x) = x * sigmoid(x); the derivative needs x, read from the input.
   auto pa = a.impl();
-  Tensor out = Tensor::zeros(a.shape());
+  Tensor out = make_result(a.shape(), {pa}, [pa](TensorImpl& self) {
+    pa->ensure_grad();
+    for (std::size_t i = 0; i < self.grad.size(); ++i) {
+      const float x = pa->data[i];
+      const float s = 1.0f / (1.0f + std::exp(-x));
+      pa->grad[i] += self.grad[i] * (s + x * s * (1.0f - s));
+    }
+  });
   for (std::size_t i = 0; i < out.numel(); ++i) {
     const float x = pa->data[i];
     out.data()[i] = x / (1.0f + std::exp(-x));
-  }
-  if ((pa->requires_grad || pa->backward_fn) && grad_enabled()) {
-    out.impl()->requires_grad = true;
-    out.impl()->parents = {pa};
-    out.impl()->backward_fn = [pa](TensorImpl& self) {
-      pa->ensure_grad();
-      for (std::size_t i = 0; i < self.grad.size(); ++i) {
-        const float x = pa->data[i];
-        const float s = 1.0f / (1.0f + std::exp(-x));
-        pa->grad[i] += self.grad[i] * (s + x * s * (1.0f - s));
-      }
-    };
   }
   return out;
 }
@@ -259,10 +233,6 @@ Tensor sum_all(const Tensor& a) {
   });
   out.data()[0] = kernel::sum(pa->data.data(), pa->data.size());
   return out;
-}
-
-Tensor mean_all(const Tensor& a) {
-  return scale(sum_all(a), 1.0f / static_cast<float>(a.numel()));
 }
 
 Tensor mean_rows(const Tensor& a) {
@@ -405,7 +375,17 @@ Tensor softmax_rows(const Tensor& a) {
   if (a.ndim() != 2) throw std::invalid_argument("softmax_rows: need 2-D");
   const int rows = a.dim(0), cols = a.dim(1);
   auto pa = a.impl();
-  Tensor out = Tensor::zeros(a.shape());
+  Tensor out = make_result(a.shape(), {pa}, [pa, rows, cols](TensorImpl& self) {
+    pa->ensure_grad();
+    for (int r = 0; r < rows; ++r) {
+      const float* y = self.data.data() + static_cast<std::size_t>(r) * cols;
+      const float* gy = self.grad.data() + static_cast<std::size_t>(r) * cols;
+      const float dot = kernel::dot(gy, y, cols);
+      for (int c = 0; c < cols; ++c) {
+        pa->grad[r * cols + c] += y[c] * (gy[c] - dot);
+      }
+    }
+  });
   for (int r = 0; r < rows; ++r) {
     float* orow = out.data().data() + static_cast<std::size_t>(r) * cols;
     const float* arow = pa->data.data() + static_cast<std::size_t>(r) * cols;
@@ -420,92 +400,6 @@ Tensor softmax_rows(const Tensor& a) {
       z += e;
     }
     kernel::div_inplace(orow, z, cols);
-  }
-  if ((pa->requires_grad || pa->backward_fn) && grad_enabled()) {
-    out.impl()->requires_grad = true;
-    out.impl()->parents = {pa};
-    FloatBuf y = out.data();
-    out.impl()->backward_fn = [pa, y = std::move(y), rows,
-                               cols](TensorImpl& self) {
-      pa->ensure_grad();
-      for (int r = 0; r < rows; ++r) {
-        const float dot =
-            kernel::dot(self.grad.data() + static_cast<std::size_t>(r) * cols,
-                        y.data() + static_cast<std::size_t>(r) * cols, cols);
-        for (int c = 0; c < cols; ++c) {
-          pa->grad[r * cols + c] +=
-              y[r * cols + c] * (self.grad[r * cols + c] - dot);
-        }
-      }
-    };
-  }
-  return out;
-}
-
-Tensor layer_norm(const Tensor& a, const Tensor& gain, const Tensor& bias,
-                  float eps) {
-  if (a.ndim() != 2 || gain.ndim() != 1 || bias.ndim() != 1 ||
-      gain.dim(0) != a.dim(1) || bias.dim(0) != a.dim(1)) {
-    throw std::invalid_argument("layer_norm: need [r,c], [c], [c]");
-  }
-  const int rows = a.dim(0), cols = a.dim(1);
-  auto pa = a.impl();
-  auto pg = gain.impl();
-  auto pb = bias.impl();
-  Tensor out = Tensor::zeros(a.shape());
-  std::vector<float> xhat(a.numel());
-  std::vector<float> inv_std(rows);
-  for (int r = 0; r < rows; ++r) {
-    float mean = 0.0f;
-    for (int c = 0; c < cols; ++c) mean += pa->data[r * cols + c];
-    mean /= static_cast<float>(cols);
-    float var = 0.0f;
-    for (int c = 0; c < cols; ++c) {
-      const float d = pa->data[r * cols + c] - mean;
-      var += d * d;
-    }
-    var /= static_cast<float>(cols);
-    inv_std[r] = 1.0f / std::sqrt(var + eps);
-    for (int c = 0; c < cols; ++c) {
-      const float xh = (pa->data[r * cols + c] - mean) * inv_std[r];
-      xhat[r * cols + c] = xh;
-      out.data()[r * cols + c] = xh * pg->data[c] + pb->data[c];
-    }
-  }
-  const bool needs = (pa->requires_grad || pa->backward_fn ||
-                      pg->requires_grad || pb->requires_grad) &&
-                     grad_enabled();
-  if (needs) {
-    out.impl()->requires_grad = true;
-    out.impl()->parents = {pa, pg, pb};
-    out.impl()->backward_fn = [pa, pg, pb, xhat = std::move(xhat),
-                               inv_std = std::move(inv_std), rows,
-                               cols](TensorImpl& self) {
-      const bool ga = wants_grad(*pa);
-      const bool gg = wants_grad(*pg);
-      const bool gb = wants_grad(*pb);
-      if (ga) pa->ensure_grad();
-      if (gg) pg->ensure_grad();
-      if (gb) pb->ensure_grad();
-      for (int r = 0; r < rows; ++r) {
-        float sum_dy = 0.0f, sum_dy_xhat = 0.0f;
-        for (int c = 0; c < cols; ++c) {
-          const float dy = self.grad[r * cols + c] * pg->data[c];
-          sum_dy += dy;
-          sum_dy_xhat += dy * xhat[r * cols + c];
-          if (gg) pg->grad[c] += self.grad[r * cols + c] * xhat[r * cols + c];
-          if (gb) pb->grad[c] += self.grad[r * cols + c];
-        }
-        const float invn = 1.0f / static_cast<float>(cols);
-        if (!ga) continue;
-        for (int c = 0; c < cols; ++c) {
-          const float dy = self.grad[r * cols + c] * pg->data[c];
-          pa->grad[r * cols + c] +=
-              inv_std[r] *
-              (dy - invn * sum_dy - xhat[r * cols + c] * invn * sum_dy_xhat);
-        }
-      }
-    };
   }
   return out;
 }

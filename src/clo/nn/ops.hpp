@@ -1,9 +1,19 @@
 #pragma once
-// Differentiable operations over Tensor. Shapes follow simple conventions:
+// Differentiable operations over Tensor: exactly the ops the surrogates,
+// the diffusion U-Net and the ABC-RL/DRiLLS policies are built from.
+// Shapes follow simple conventions:
 //  * 2-D [rows, cols] for dense layers,
 //  * 3-D [batch, channels, length] for the 1-D U-Net convolutions.
 // Broadcasting is deliberately limited to the cases the models need:
-// adding a [cols] bias to [rows, cols], and scalar scaling.
+// adding a [cols] bias to [rows, cols], and scalar scaling (subtract with
+// add(a, scale(b, -1))).
+//
+// Every op records its autograd node the same way (make_result in
+// ops.cpp): a fresh output tensor whose backward closure reads the op's
+// result from its own node and accumulates into its parents in a fixed
+// order. That order fixes backward()'s topological walk and therefore
+// every gradient bit. Ops with two or more parents skip a parent that does
+// not want a gradient, so a frozen leaf's grad buffer is never written.
 
 #include "clo/nn/tensor.hpp"
 
@@ -12,10 +22,8 @@ namespace clo::nn {
 // ---- Elementwise ----------------------------------------------------------
 Tensor add(const Tensor& a, const Tensor& b);        ///< same shape
 Tensor add_bias(const Tensor& a, const Tensor& b);   ///< [r,c] + [c]
-Tensor sub(const Tensor& a, const Tensor& b);
 Tensor mul(const Tensor& a, const Tensor& b);        ///< same shape
 Tensor scale(const Tensor& a, float s);
-Tensor neg(const Tensor& a);
 
 Tensor relu(const Tensor& a);
 Tensor sigmoid(const Tensor& a);
@@ -28,7 +36,6 @@ Tensor matmul(const Tensor& a, const Tensor& b, bool transpose_b = false);
 
 // ---- Reductions -------------------------------------------------------------
 Tensor sum_all(const Tensor& a);
-Tensor mean_all(const Tensor& a);
 /// Mean over rows of [r,c] -> [1,c].
 Tensor mean_rows(const Tensor& a);
 /// Mean squared error between same-shaped tensors -> scalar.
@@ -44,12 +51,9 @@ Tensor slice_cols(const Tensor& a, int begin, int end);
 /// Indices may repeat.
 Tensor gather_rows(const Tensor& a, const std::vector<int>& rows);
 
-// ---- Softmax / normalization --------------------------------------------------
+// ---- Softmax ----------------------------------------------------------------
 /// Softmax over the last dim of a 2-D tensor.
 Tensor softmax_rows(const Tensor& a);
-/// Layer normalization over the last dim of [r,c] with gain/bias [c].
-Tensor layer_norm(const Tensor& a, const Tensor& gain, const Tensor& bias,
-                  float eps = 1e-5f);
 
 // ---- 1-D convolution stack (shapes [batch, channels, length]) -----------------
 /// weight [C_out, C_in, K] (K odd, same padding), bias [C_out].

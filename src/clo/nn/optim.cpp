@@ -33,25 +33,4 @@ void Adam::zero_grad() {
   for (auto& p : params_) p.zero_grad();
 }
 
-Sgd::Sgd(std::vector<Tensor> params, float lr, float momentum)
-    : params_(std::move(params)), lr_(lr), momentum_(momentum) {
-  for (auto& p : params_) velocity_.emplace_back(p.numel(), 0.0f);
-}
-
-void Sgd::step() {
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    auto& p = params_[i];
-    auto& g = p.grad();
-    for (std::size_t j = 0; j < p.numel(); ++j) {
-      velocity_[i][j] = momentum_ * velocity_[i][j] - lr_ * g[j];
-      p.data()[j] += velocity_[i][j];
-    }
-  }
-  zero_grad();
-}
-
-void Sgd::zero_grad() {
-  for (auto& p : params_) p.zero_grad();
-}
-
 }  // namespace clo::nn

@@ -1,11 +1,19 @@
 #pragma once
-// Optimizers. Adam is what the paper's models train with.
+// The optimizer both trainings use: Adam (Kingma & Ba), the optimizer the
+// paper's surrogate (Eq. 2) and DDPM (Algorithm 1) trainings run with, and
+// the divergence-backoff cap both trainers share.
 
 #include <vector>
 
 #include "clo/nn/tensor.hpp"
 
 namespace clo::nn {
+
+/// Divergence recoveries a trainer allows before it gives up: a non-finite
+/// loss rolls the weights back to the last good copy and halves the
+/// learning rate with a fresh Adam (train_surrogate and
+/// DiffusionModel::train alike).
+inline constexpr int kMaxLrBackoffs = 6;
 
 class Adam {
  public:
@@ -15,27 +23,12 @@ class Adam {
   /// Apply one update from accumulated grads, then zero them.
   void step();
   void zero_grad();
-  void set_lr(float lr) { lr_ = lr; }
-  float lr() const { return lr_; }
 
  private:
   std::vector<Tensor> params_;
   std::vector<FloatBuf> m_, v_;
   float lr_, beta1_, beta2_, eps_;
   long step_count_ = 0;
-};
-
-class Sgd {
- public:
-  explicit Sgd(std::vector<Tensor> params, float lr = 1e-2f,
-               float momentum = 0.0f);
-  void step();
-  void zero_grad();
-
- private:
-  std::vector<Tensor> params_;
-  std::vector<std::vector<float>> velocity_;
-  float lr_, momentum_;
 };
 
 }  // namespace clo::nn

@@ -108,14 +108,6 @@ void backward(const Tensor& root) {
   }
 }
 
-Tensor detach(const Tensor& t) {
-  auto impl = std::make_shared<TensorImpl>();
-  impl->shape = t.shape();
-  impl->data = t.data();
-  impl->requires_grad = false;
-  return Tensor(std::move(impl));
-}
-
 namespace {
 thread_local bool g_grad_enabled = true;
 }  // namespace

@@ -89,9 +89,6 @@ class Tensor {
 /// soon as it has been propagated to the op's inputs.
 void backward(const Tensor& root);
 
-/// Detached copy: same data, no graph history.
-Tensor detach(const Tensor& t);
-
 /// Whether ops currently record the autograd graph on this thread (true
 /// unless a NoGradGuard is alive). Checked by every op in ops.cpp.
 bool grad_enabled();

@@ -52,8 +52,9 @@ struct ServerOptions {
   /// time; pipelines inside them share the worker pool).
   int sessions = 2;
   /// Worker threads in the shared pipeline pool: 1 = serial, 0 = hardware
-  /// concurrency. This is part of the registry key (serial vs
-  /// data-parallel surrogate training differ in float rounding).
+  /// concurrency. Not part of the registry key: every phase gives the same
+  /// bits at any thread count, so a model trained at one count serves
+  /// queries at any other.
   int threads = 0;
   /// Idle limit for client reads; a connection with no complete request
   /// line for this long is closed.

@@ -32,7 +32,7 @@ enum class CancelReason : int { kNone = 0, kExplicit = 1, kDeadline = 2 };
 /// Thrown by CancelToken::check() / cancel_point(). Subclasses
 /// runtime_error so existing catch(...) fault paths release resources, but
 /// is distinguishable where cancellation must bypass retry machinery
-/// (e.g. the tolerant restart driver rethrows instead of quarantining).
+/// (e.g. the restart driver rethrows instead of quarantining).
 class CancelledError : public std::runtime_error {
  public:
   explicit CancelledError(CancelReason reason)

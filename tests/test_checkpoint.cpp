@@ -326,12 +326,22 @@ TEST_F(CheckpointTest, TolerantRestartsMatchPlainWhenNothingFails) {
   clo::Rng a(23), b(23);
   const auto plain = opt.run_restarts(a, 5, nullptr);
   std::vector<core::ContinuousOptimizer::RestartFailure> failures;
-  const auto tolerant = opt.run_restarts_tolerant(b, 5, nullptr, &failures);
+  const auto tolerant = opt.run_restarts(b, 5, nullptr, &failures);
   EXPECT_TRUE(failures.empty());
   ASSERT_EQ(tolerant.size(), plain.size());
   for (std::size_t r = 0; r < plain.size(); ++r) {
     EXPECT_EQ(tolerant[r].sequence, plain[r].sequence) << "restart " << r;
     EXPECT_EQ(tolerant[r].latent, plain[r].latent);
+  }
+  // The caller's Rng ends just past the 5 noise blocks (T * L * d
+  // Gaussians each): the retry Rngs are forked from a copy of it.
+  clo::Rng blocks(23);
+  for (int i = 0; i < 5 * 16 * 8 * 8; ++i) blocks.next_gaussian();
+  for (const clo::Rng* rng : {&a, &b}) {
+    const auto got = rng->state(), want = blocks.state();
+    for (int w = 0; w < 4; ++w) EXPECT_EQ(got.s[w], want.s[w]);
+    EXPECT_EQ(got.has_cached_gaussian, want.has_cached_gaussian);
+    EXPECT_EQ(got.cached_gaussian, want.cached_gaussian);
   }
 }
 
@@ -348,7 +358,7 @@ TEST_F(CheckpointTest, OneShotFaultsRecoverBitIdentical) {
     fault::arm(spec);
     clo::Rng b(23);
     std::vector<core::ContinuousOptimizer::RestartFailure> failures;
-    const auto tolerant = opt.run_restarts_tolerant(b, 5, nullptr, &failures);
+    const auto tolerant = opt.run_restarts(b, 5, nullptr, &failures);
     fault::disarm();
     EXPECT_TRUE(failures.empty()) << spec;
     ASSERT_EQ(tolerant.size(), plain.size());
@@ -375,7 +385,7 @@ TEST_F(CheckpointTest, QuarantineLeavesSurvivorsUnchanged) {
   fault::arm("optimizer.latent_nan=p0.3,seed=2781");
   clo::Rng b(23);
   std::vector<core::ContinuousOptimizer::RestartFailure> failures;
-  const auto tolerant = opt.run_restarts_tolerant(b, 6, nullptr, &failures);
+  const auto tolerant = opt.run_restarts(b, 6, nullptr, &failures);
   fault::disarm();
 
   ASSERT_EQ(tolerant.size(), plain.size());
@@ -397,7 +407,7 @@ TEST_F(CheckpointTest, AlwaysFiringFaultQuarantinesEverything) {
   fault::arm("optimizer.latent_nan=p1.0");
   clo::Rng rng(23);
   std::vector<core::ContinuousOptimizer::RestartFailure> failures;
-  const auto results = opt.run_restarts_tolerant(rng, 3, nullptr, &failures);
+  const auto results = opt.run_restarts(rng, 3, nullptr, &failures);
   fault::disarm();
   ASSERT_EQ(failures.size(), results.size());
   for (const auto& f : failures) {

@@ -62,8 +62,10 @@ TEST(ChannelLayout, RoundTrip) {
   const int L = 4, d = 3;
   std::vector<float> flat(L * d);
   for (std::size_t i = 0; i < flat.size(); ++i) flat[i] = static_cast<float>(i);
-  const auto chan = models::to_channel_layout(flat, L, d);
-  EXPECT_EQ(models::from_channel_layout(chan, L, d), flat);
+  std::vector<float> chan(L * d), back(L * d);
+  models::to_channel_layout_into(flat.data(), L, d, chan.data());
+  models::from_channel_layout_into(chan.data(), L, d, back.data());
+  EXPECT_EQ(back, flat);
   // position 2, channel 1 = flat[2*3+1] = chan[1*4+2]
   EXPECT_FLOAT_EQ(chan[1 * 4 + 2], flat[2 * 3 + 1]);
 }
@@ -146,7 +148,8 @@ TEST(DiffusionModel, LossCurveStartsAtTheFirstIterationLoss) {
         static_cast<std::uint64_t>(twin.schedule().num_steps())));
     const float sa = std::sqrt(twin.schedule().alpha_bar(ts[b]));
     const float sb = std::sqrt(1.0f - twin.schedule().alpha_bar(ts[b]));
-    const auto chan = models::to_channel_layout(x0, L, d);
+    std::vector<float> chan(d * L);
+    models::to_channel_layout_into(x0.data(), L, d, chan.data());
     for (int i = 0; i < d * L; ++i) {
       const float e = static_cast<float>(rng.next_gaussian());
       eps.data()[b * d * L + i] = e;
@@ -169,12 +172,17 @@ TEST(DiffusionModel, SamplesApproachTrainingManifold) {
   }
   model.train(data, 2000, 16, 2e-3f, rng);
   // Samples should sit much closer to the embedding manifold than noise.
+  auto discrepancy = [&](const std::vector<float>& latent) {
+    std::vector<double> disc;
+    emb.retrieve_batch({latent}, cfg.seq_len, &disc);
+    return disc[0];
+  };
   double sampled = 0.0, noise = 0.0;
   for (int trial = 0; trial < 4; ++trial) {
-    sampled += emb.discrepancy(model.sample(rng), cfg.seq_len);
+    sampled += discrepancy(model.sample(rng));
     std::vector<float> raw(cfg.seq_len * cfg.embed_dim);
     for (auto& v : raw) v = static_cast<float>(rng.next_gaussian());
-    noise += emb.discrepancy(raw, cfg.seq_len);
+    noise += discrepancy(raw);
   }
   EXPECT_LT(sampled, 0.65 * noise);
 }

@@ -102,7 +102,6 @@ TEST_F(KernelTest, ElementwiseAreBitwiseIdenticalAcrossTargets) {
     kernel::axpy(y_s.data(), 0.37f, a.data(), n);
     kernel::acc(y_s.data(), b.data(), n);
     kernel::add(out_s.data(), a.data(), b.data(), n);
-    kernel::sub(out_s.data(), out_s.data(), b.data(), n);
     kernel::mul(out_s.data(), out_s.data(), a.data(), n);
     kernel::scale(out_s.data(), out_s.data(), -1.25f, n);
     kernel::div_inplace(out_s.data(), 3.0f, n);
@@ -111,7 +110,6 @@ TEST_F(KernelTest, ElementwiseAreBitwiseIdenticalAcrossTargets) {
     kernel::axpy(y_v.data(), 0.37f, a.data(), n);
     kernel::acc(y_v.data(), b.data(), n);
     kernel::add(out_v.data(), a.data(), b.data(), n);
-    kernel::sub(out_v.data(), out_v.data(), b.data(), n);
     kernel::mul(out_v.data(), out_v.data(), a.data(), n);
     kernel::scale(out_v.data(), out_v.data(), -1.25f, n);
     kernel::div_inplace(out_v.data(), 3.0f, n);

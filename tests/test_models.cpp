@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <functional>
+#include <utility>
+#include <vector>
 
 #include "clo/circuits/generators.hpp"
+#include "clo/models/diffusion.hpp"
 #include "clo/models/embedding.hpp"
 #include "clo/models/surrogate.hpp"
 #include "clo/util/rng.hpp"
@@ -10,6 +16,15 @@
 namespace {
 
 using namespace clo;
+
+/// One latent through retrieve_batch: its sequence and discrepancy.
+std::pair<opt::Sequence, double> decode(const models::TransformEmbedding& emb,
+                                        const std::vector<float>& latent,
+                                        int length) {
+  std::vector<double> disc;
+  auto seqs = emb.retrieve_batch({latent}, length, &disc);
+  return {std::move(seqs[0]), disc[0]};
+}
 
 TEST(Embedding, OrthogonalUnitVarianceRows) {
   clo::Rng rng(1);
@@ -40,8 +55,9 @@ TEST(Embedding, EmbedRetrieveRoundTrip) {
     const auto seq = opt::random_sequence(20, rng);
     const auto latent = emb.embed(seq);
     EXPECT_EQ(latent.size(), 20u * 8u);
-    EXPECT_EQ(emb.retrieve(latent, 20), seq);
-    EXPECT_NEAR(emb.discrepancy(latent, 20), 0.0, 1e-6);
+    const auto [decoded, discrepancy] = decode(emb, latent, 20);
+    EXPECT_EQ(decoded, seq);
+    EXPECT_NEAR(discrepancy, 0.0, 1e-6);
   }
 }
 
@@ -53,8 +69,9 @@ TEST(Embedding, RetrievalRobustToSmallNoise) {
   // Orthonormal rows are sqrt(2) apart; noise well below half that
   // distance must not flip retrieval.
   for (auto& v : latent) v += 0.1f * static_cast<float>(rng.next_gaussian());
-  EXPECT_EQ(emb.retrieve(latent, 20), seq);
-  EXPECT_GT(emb.discrepancy(latent, 20), 0.0);
+  const auto [decoded, discrepancy] = decode(emb, latent, 20);
+  EXPECT_EQ(decoded, seq);
+  EXPECT_GT(discrepancy, 0.0);
 }
 
 TEST(Embedding, DiscrepancyGrowsWithNoise) {
@@ -67,7 +84,7 @@ TEST(Embedding, DiscrepancyGrowsWithNoise) {
     auto latent = base;
     clo::Rng nrng(6);
     for (auto& v : latent) v += noise * static_cast<float>(nrng.next_gaussian());
-    const double d = emb.discrepancy(latent, 20);
+    const double d = decode(emb, latent, 20).second;
     EXPECT_GT(d, prev);
     prev = d;
   }
@@ -94,6 +111,69 @@ TEST_P(SurrogateKindTest, ForwardShapesAndGradients) {
   double norm = 0.0;
   for (float v : x.grad()) norm += static_cast<double>(v) * v;
   EXPECT_GT(norm, 0.0);
+}
+
+/// The bits of the gradient that one forward and backward through `loss`
+/// leaves on a fresh requires_grad copy of `input`.
+std::vector<std::uint32_t> input_gradient_bits(
+    const nn::Tensor& input,
+    const std::function<nn::Tensor(const nn::Tensor&)>& loss) {
+  nn::Tensor x = nn::Tensor::from_data(
+      input.shape(), {input.data().begin(), input.data().end()}, true);
+  nn::backward(loss(x));
+  std::vector<std::uint32_t> bits;
+  for (float v : x.grad()) bits.push_back(std::bit_cast<std::uint32_t>(v));
+  return bits;
+}
+
+/// Under a GradFreeze of `model`'s parameters, backward never touches a
+/// parameter's grad buffer, and the input gradient is the one an unfrozen
+/// pass computes, bit for bit.
+void expect_freeze_only_skips_parameters(
+    nn::Module& model, const nn::Tensor& input,
+    const std::function<nn::Tensor(const nn::Tensor&)>& loss) {
+  std::vector<std::uint32_t> frozen;
+  {
+    nn::GradFreeze freeze(model.parameters());
+    frozen = input_gradient_bits(input, loss);
+  }
+  for (const auto& p : model.parameters()) {
+    EXPECT_TRUE(p.impl()->grad.empty());
+    EXPECT_TRUE(p.requires_grad());  // restored when the freeze ends
+  }
+  EXPECT_FALSE(frozen.empty());
+  EXPECT_EQ(frozen, input_gradient_bits(input, loss));
+}
+
+TEST_P(SurrogateKindTest, GradFreezeOnlySkipsParameters) {
+  clo::Rng rng(13);
+  const aig::Aig g = circuits::make_benchmark("ctrl");
+  models::SurrogateConfig cfg;
+  auto model = models::make_surrogate(GetParam(), g, cfg, rng);
+  const nn::Tensor x =
+      nn::Tensor::randn({3, cfg.seq_len * cfg.embed_dim}, rng, 1.0f);
+  expect_freeze_only_skips_parameters(*model, x, [&](const nn::Tensor& in) {
+    const auto out = model->forward(in);
+    return nn::add(nn::scale(nn::sum_all(out.area), 0.5f),
+                   nn::scale(nn::sum_all(out.delay), 0.5f));
+  });
+}
+
+TEST(GradFreeze, UNetOnlySkipsParameters) {
+  clo::Rng rng(14);
+  models::DiffusionConfig cfg;
+  cfg.seq_len = 8;
+  cfg.channels = 8;
+  cfg.time_dim = 8;
+  cfg.num_steps = 10;
+  models::DiffusionUNet unet(cfg, rng);
+  const nn::Tensor x =
+      nn::Tensor::randn({2, cfg.embed_dim, cfg.seq_len}, rng, 1.0f);
+  const nn::Tensor target =
+      nn::Tensor::randn({2, cfg.embed_dim, cfg.seq_len}, rng, 1.0f);
+  expect_freeze_only_skips_parameters(unet, x, [&](const nn::Tensor& in) {
+    return nn::mse_loss(unet.forward(in, {3, 7}), target);
+  });
 }
 
 TEST_P(SurrogateKindTest, DifferentInputsDifferentOutputs) {

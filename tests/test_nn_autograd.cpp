@@ -46,13 +46,13 @@ Tensor random_tensor(std::vector<int> shape, std::uint64_t seed,
 TEST(Autograd, AddSubMul) {
   const Tensor b = random_tensor({2, 3}, 7);
   grad_check(random_tensor({2, 3}, 1), [&](const Tensor& x) {
-    return sum_all(mul(add(x, b), sub(x, b)));
+    return sum_all(mul(add(x, b), add(x, scale(b, -1.0f))));
   });
 }
 
 TEST(Autograd, ScaleNeg) {
   grad_check(random_tensor({4}, 2), [](const Tensor& x) {
-    return sum_all(neg(scale(x, 2.5f)));
+    return sum_all(scale(scale(x, 2.5f), -1.0f));
   });
 }
 
@@ -127,28 +127,16 @@ TEST(Autograd, GatherRowsWithRepeats) {
   });
 }
 
-TEST(Autograd, LayerNorm) {
-  const Tensor gain = random_tensor({5}, 23);
-  const Tensor bias = random_tensor({5}, 24);
-  grad_check(
-      random_tensor({3, 5}, 25),
-      [&](const Tensor& x) {
-        Tensor w = Tensor::from_data(
-            {3, 5}, std::vector<float>(15, 0.3f));
-        return sum_all(mul(layer_norm(x, gain, bias), w));
-      },
-      5e-2f);
-}
-
 TEST(Autograd, Conv1d) {
-  // Gradients of x, w and b at every odd width K and short lengths L,
-  // including K > L (the padding covers both ends of the row), under a
-  // non-uniform upstream gradient: a weighted sum, so a mixed-up index
-  // cannot hide behind a gradient that is the same everywhere.
+  // Gradients of x, w and b at every odd width K up to 7 and every length
+  // L up to 20, under a non-uniform upstream gradient: a weighted sum, so
+  // a mixed-up index cannot hide behind a gradient that is the same
+  // everywhere. K > L has the padding cover both ends of the row; L > 8
+  // gives backward's 8-lane dot full chunks plus a tail.
   const int B = 2, Ci = 2, Co = 3;
   std::uint64_t seed = 100;
-  for (int K : {1, 3, 5}) {
-    for (int L : {1, 2, 3, 7}) {
+  for (int K : {1, 3, 5, 7}) {
+    for (int L = 1; L <= 20; ++L) {
       SCOPED_TRACE("K=" + std::to_string(K) + " L=" + std::to_string(L));
       clo::Rng upstream_rng(seed++);
       const Tensor upstream =
@@ -191,14 +179,6 @@ TEST(Autograd, DiamondGraphAccumulates) {
   EXPECT_NEAR(x.grad()[0], 2 * 1.0f + 1, 1e-5);
   EXPECT_NEAR(x.grad()[1], 2 * -2.0f + 1, 1e-5);
   EXPECT_NEAR(x.grad()[2], 2 * 0.5f + 1, 1e-5);
-}
-
-TEST(Autograd, DetachStopsGradient) {
-  Tensor x = Tensor::from_data({2}, {3.0f, 4.0f}, true);
-  Tensor y = sum_all(mul(detach(x), x));
-  backward(y);
-  EXPECT_NEAR(x.grad()[0], 3.0f, 1e-5);  // only the non-detached path
-  EXPECT_NEAR(x.grad()[1], 4.0f, 1e-5);
 }
 
 TEST(Autograd, BackwardRequiresScalar) {

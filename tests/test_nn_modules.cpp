@@ -160,17 +160,6 @@ TEST(Adam, ConvergesOnQuadratic) {
   for (float v : x.data()) EXPECT_NEAR(v, 0.0f, 0.05f);
 }
 
-TEST(Sgd, ConvergesOnQuadratic) {
-  Tensor x = Tensor::from_data({2}, {3.0f, -3.0f}, true);
-  Sgd opt({x}, 0.05f, 0.9f);
-  for (int step = 0; step < 200; ++step) {
-    Tensor loss = sum_all(mul(x, x));
-    backward(loss);
-    opt.step();
-  }
-  for (float v : x.data()) EXPECT_NEAR(v, 0.0f, 0.05f);
-}
-
 TEST(Adam, ZeroGradClearsAccumulation) {
   Tensor x = Tensor::from_data({1}, {2.0f}, true);
   Adam opt({x}, 0.0f);  // lr 0: only bookkeeping
