@@ -1,11 +1,17 @@
 // Micro-benchmark for the clo::nn::kernel dispatch layer: times every
 // kernel on the shapes the real models hit (LSTM/MLP surrogate matmuls,
-// U-Net conv1d im2col dots, matmul_ta backward slabs, Adam slabs,
-// embedding nearest-scan sqdist), once per dispatch target, and records
-// speedups against the scalar target. Kernels run on the calling thread.
+// U-Net conv1d im2col dots and per-tap weight-gradient products,
+// matmul_ta backward slabs, Adam slabs, embedding nearest-scan sqdist),
+// once per dispatch target, and records speedups against the scalar
+// target. Kernels run on the calling thread.
 //
 //   ./bench_kernels [--out BENCH_kernels.json] [--min-ms 50] [--large]
 //                   [--full] [--kernel-target T]
+//
+// Each row is timed as kBatches batches of at least --min-ms each (the
+// iteration count is calibrated first and then held fixed), and records
+// the median batch's ns per op with the first and third quartiles, so a
+// reader — and clo_bench_diff — can tell a shift from the run's own noise.
 //
 // --full adds the paper-scale batched shapes (R=30 restarts over [R, L*d]
 // latents against full-width layers). --kernel-target pins dispatch to
@@ -21,10 +27,11 @@
 // Output JSON (schema "clo.bench.kernels.v1"):
 //   { schema, simd_compiled, simd_supported, default_target, threads,
 //     host_cores, min_ms,
-//     results: [ { name, target, threads, flops_per_op, ns, gflops,
-//                  speedup, parity } ] }
-// One row per (case, target); `speedup` is scalar_ns / ns (1.0 for the
-// scalar rows themselves). `threads` is always 1; it stays in the schema
+//     results: [ { name, target, threads, flops_per_op, ns, ns_q1, ns_q3,
+//                  batches, gflops, speedup, parity } ] }
+// One row per (case, target); `ns` is the median batch, and `gflops` and
+// `speedup` (scalar ns / ns, 1.0 for the scalar rows themselves) are taken
+// from it. `threads` is always 1; it stays in the schema
 // so rows key the same way in clo_bench_diff as older baselines.
 
 #include <algorithm>
@@ -64,26 +71,49 @@ struct Case {
   std::function<const AlignedFloats&()> output;
 };
 
-double time_ns_per_op(const Case& c, double min_ms) {
+/// Timed batches per row: enough for quartiles that mean something.
+constexpr int kBatches = 7;
+
+/// Median and quartiles of a row's per-batch ns per op.
+struct Timing {
+  double median = 0.0, q1 = 0.0, q3 = 0.0;
+};
+
+/// Linear-interpolated quantile of sorted samples.
+double quantile(const std::vector<double>& sorted, double p) {
+  const double pos = p * static_cast<double>(sorted.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+  return sorted[lo] +
+         (pos - static_cast<double>(lo)) * (sorted[hi] - sorted[lo]);
+}
+
+Timing time_ns_per_op(const Case& c, double min_ms) {
   using clock = std::chrono::steady_clock;
-  c.reset();
-  c.run();  // warm-up (page in buffers, settle dispatch)
-  std::size_t iters = 1;
-  for (;;) {
+  const auto batch_ms = [&c](std::size_t iters) {
     c.reset();
     const auto begin = clock::now();
     for (std::size_t i = 0; i < iters; ++i) c.run();
-    const double ms =
-        std::chrono::duration<double, std::milli>(clock::now() - begin)
-            .count();
-    if (ms >= min_ms) {
-      return ms * 1e6 / static_cast<double>(iters);
-    }
-    // Grow geometrically toward the time budget (at least 2x).
+    return std::chrono::duration<double, std::milli>(clock::now() - begin)
+        .count();
+  };
+  c.reset();
+  c.run();  // warm-up (page in buffers, settle dispatch)
+  // Calibrate: grow the batch geometrically (at least 2x) until one batch
+  // fills the time budget.
+  std::size_t iters = 1;
+  for (;;) {
+    const double ms = batch_ms(iters);
+    if (ms >= min_ms) break;
     const double scale = ms > 0.0 ? (1.5 * min_ms) / ms : 2.0;
     iters = static_cast<std::size_t>(
         static_cast<double>(iters) * (scale < 2.0 ? 2.0 : scale));
   }
+  std::vector<double> ns(kBatches);
+  for (double& v : ns)
+    v = batch_ms(iters) * 1e6 / static_cast<double>(iters);
+  std::sort(ns.begin(), ns.end());
+  return Timing{quantile(ns, 0.5), quantile(ns, 0.25), quantile(ns, 0.75)};
 }
 
 /// Capture the case's output bytes after one run under the current
@@ -217,6 +247,38 @@ int main(int argc, char** argv) {
     });
   }
 
+  // --- matmul_tree: conv1d's weight gradient, one product per (batch
+  // element, tap) of gy [Co, L] against the columns of xᵀ [L, Ci]. U-Net
+  // shapes at the centre tap (the full row): down2/mid, up1, up2.
+  struct TreeShape {
+    const char* name;
+    int co, ci, l;
+  };
+  const TreeShape tree[] = {
+      {"matmul_tree_co64_ci64_l5", 64, 64, 5},
+      {"matmul_tree_co32_ci128_l10", 32, 128, 10},
+      {"matmul_tree_co32_ci64_l20", 32, 64, 20},
+  };
+  for (const auto& s : tree) {
+    auto gy = std::make_shared<AlignedFloats>(
+        random_buf(static_cast<std::size_t>(s.co) * s.l, rng));
+    auto xt = std::make_shared<AlignedFloats>(
+        random_buf(static_cast<std::size_t>(s.l) * s.ci, rng));
+    auto out = std::make_shared<AlignedFloats>(
+        static_cast<std::size_t>(s.co) * s.ci);
+    const int co = s.co, ci = s.ci, l = s.l;
+    cases.push_back(Case{
+        s.name,
+        2.0 * co * ci * l,
+        [out] { std::fill(out->begin(), out->end(), 0.0f); },
+        [gy, xt, out, co, ci, l] {
+          kernel::matmul_tree(gy->data(), l, xt->data(), ci, out->data(), ci,
+                              co, l, ci);
+        },
+        [out]() -> const AlignedFloats& { return *out; },
+    });
+  }
+
   // --- Reductions on the latent-vector length the optimizer touches
   // (L=20 x d=8 = 160) and a larger slab.
   for (std::size_t n : {std::size_t{160}, std::size_t{4096}}) {
@@ -342,7 +404,8 @@ int main(int argc, char** argv) {
     double scalar_ns = 0.0;
     for (std::size_t ti = 0; ti < targets.size(); ++ti) {
       kernel::set_target(targets[ti]);
-      const double ns = time_ns_per_op(c, min_ms);
+      const Timing timing = time_ns_per_op(c, min_ms);
+      const double ns = timing.median;
       if (targets[ti] == kernel::Target::kScalar) scalar_ns = ns;
 
       obs::Json row = obs::Json::object();
@@ -352,13 +415,17 @@ int main(int argc, char** argv) {
       row["threads"] = obs::Json(1.0);
       row["flops_per_op"] = obs::Json(c.flops_per_op);
       row["ns"] = obs::Json(ns);
+      row["ns_q1"] = obs::Json(timing.q1);
+      row["ns_q3"] = obs::Json(timing.q3);
+      row["batches"] = obs::Json(static_cast<double>(kBatches));
       row["gflops"] = obs::Json(c.flops_per_op / ns);
       row["speedup"] = obs::Json(scalar_ns > 0.0 ? scalar_ns / ns : 1.0);
       row["parity"] = obs::Json(parity[ti]);
       results.push_back(std::move(row));
 
-      std::printf("%-32s %-7s %12.1f ns  x%5.2f  %s\n", c.name.c_str(),
-                  kernel::target_name(targets[ti]), ns,
+      std::printf("%-32s %-7s %12.1f ns [%.1f, %.1f]  x%5.2f  %s\n",
+                  c.name.c_str(), kernel::target_name(targets[ti]), ns,
+                  timing.q1, timing.q3,
                   scalar_ns > 0.0 ? scalar_ns / ns : 1.0,
                   parity[ti].c_str());
     }

@@ -16,6 +16,7 @@
 namespace clo::nn::kernel {
 
 using detail::canonical_nan;
+using detail::dot_strided;
 using detail::fold_max8;
 using detail::reduce8;
 
@@ -38,6 +39,8 @@ void matmul_ld(const float* a, int lda, const float* b, int ldb, float* out,
                int ldo, int m, int k, int n, bool transpose_b);
 void matmul_ta_ld(const float* a, int lda, const float* b, int ldb, float* out,
                   int ldo, int m, int k, int n);
+void matmul_tree(const float* a, int lda, const float* b, int ldb, float* out,
+                 int ldo, int m, int k, int n);
 }  // namespace avx2
 #endif
 
@@ -284,6 +287,16 @@ void matmul_ta_ld(const float* a, int lda, const float* b, int ldb, float* out,
   }
 }
 
+void matmul_tree(const float* a, int lda, const float* b, int ldb, float* out,
+                 int ldo, int m, int k, int n) {
+  for (int i = 0; i < m; ++i) {
+    const float* arow = a + static_cast<std::size_t>(i) * lda;
+    float* orow = out + static_cast<std::size_t>(i) * ldo;
+    for (int j = 0; j < n; ++j)
+      orow[j] += dot_strided(arow, b + j, static_cast<std::size_t>(ldb), k);
+  }
+}
+
 }  // namespace
 }  // namespace scalar
 
@@ -351,6 +364,11 @@ void matmul(const float* a, const float* b, float* out, int m, int k, int n,
 void matmul_ta(const float* a, const float* b, float* out, int m, int k,
                int n) {
   CLO_KERNEL_DISPATCH(matmul_ta_ld(a, k, b, n, out, n, m, k, n));
+}
+
+void matmul_tree(const float* a, int lda, const float* b, int ldb, float* out,
+                 int ldo, int m, int k, int n) {
+  CLO_KERNEL_DISPATCH(matmul_tree(a, lda, b, ldb, out, ldo, m, k, n));
 }
 
 #undef CLO_KERNEL_DISPATCH

@@ -13,9 +13,12 @@
 // Determinism contract: the floating-point result of every kernel is part
 // of its definition, not an implementation detail. Reductions use eight
 // interleaved partial sums — lane j accumulates elements j, j+8, j+16, ...
-// — folded by the fixed tree in reduce8() with a sequential tail (the
-// layout conv1d's forward has used since PR 3). Elementwise kernels and
-// matmul's non-transposed form are per-element chains in a fixed order.
+// — folded by the fixed tree in reduce8() with a sequential tail.
+// matmul's transposed form and matmul_tree apply exactly that dot() to
+// every output element (the vector paths run several elements' lanes side
+// by side, never mixing them). Elementwise kernels, matmul's
+// non-transposed form and matmul_ta are per-element chains in a fixed
+// order.
 // Both targets implement exactly these orders with IEEE-754 single ops and
 // no FMA contraction (the vector TU is compiled with -ffp-contract=off and
 // uses mul+add, not vfmadd; vector divide/sqrt are correctly rounded like
@@ -116,5 +119,13 @@ void matmul(const float* a, const float* b, float* out, int m, int k, int n,
 /// the autograd loop it replaced).
 void matmul_ta(const float* a, const float* b, float* out, int m, int k,
                int n);
+
+/// out[i,j] += dot(A[i,:], B[:,j]) over strided tiles: A is [m,k] with row
+/// stride lda, B is [k,n] with row stride ldb, out is [m,n] with row
+/// stride ldo. Each element is exactly dot()'s 8-lane tree over the column
+/// (lane t takes l = t, t+8, ...; reduce8; then the sequential tail), added
+/// to out once — conv1d's weight gradient, one call per tap.
+void matmul_tree(const float* a, int lda, const float* b, int ldb, float* out,
+                 int ldo, int m, int k, int n);
 
 }  // namespace clo::nn::kernel

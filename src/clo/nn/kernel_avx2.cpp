@@ -18,6 +18,7 @@
 
 namespace clo::nn::kernel::avx2 {
 
+using detail::dot_strided;
 using detail::fold_max8;
 using detail::reduce8;
 
@@ -326,6 +327,54 @@ void matmul_ta_ld(const float* a, int lda, const float* b, int ldb, float* out,
              b[static_cast<std::size_t>(i) * ldb + j];
       orow[j] = o;
     }
+  }
+}
+
+void matmul_tree(const float* a, int lda, const float* b, int ldb, float* out,
+                 int ldo, int m, int k, int n) {
+  // out[i,j] += dot(A row i, B column j), eight output columns at a time:
+  // lane vector t holds lane t of dot()'s eight partial sums for each of
+  // the eight columns, and the reduce8 tree folds the lane vectors
+  // elementwise, so every column gets exactly dot()'s order. The lanes
+  // are named locals so that they stay in registers.
+  const std::size_t sb = static_cast<std::size_t>(ldb);
+  const auto mac = [](__m256 acc, float av, const float* bp) {
+    return _mm256_add_ps(acc,
+                         _mm256_mul_ps(_mm256_set1_ps(av), _mm256_loadu_ps(bp)));
+  };
+  for (int i = 0; i < m; ++i) {
+    const float* arow = a + static_cast<std::size_t>(i) * lda;
+    float* orow = out + static_cast<std::size_t>(i) * ldo;
+    int j = 0;
+    for (; j + 8 <= n; j += 8) {
+      __m256 l0 = _mm256_setzero_ps(), l1 = l0, l2 = l0, l3 = l0, l4 = l0,
+             l5 = l0, l6 = l0, l7 = l0;
+      int l = 0;
+      for (; l + 8 <= k; l += 8) {
+        const float* al = arow + l;
+        const float* bl = b + j + static_cast<std::size_t>(l) * sb;
+        l0 = mac(l0, al[0], bl);
+        l1 = mac(l1, al[1], bl + sb);
+        l2 = mac(l2, al[2], bl + 2 * sb);
+        l3 = mac(l3, al[3], bl + 3 * sb);
+        l4 = mac(l4, al[4], bl + 4 * sb);
+        l5 = mac(l5, al[5], bl + 5 * sb);
+        l6 = mac(l6, al[6], bl + 6 * sb);
+        l7 = mac(l7, al[7], bl + 7 * sb);
+      }
+      const __m256 s04 =
+          _mm256_add_ps(_mm256_add_ps(l0, l4), _mm256_add_ps(l1, l5));
+      const __m256 s26 =
+          _mm256_add_ps(_mm256_add_ps(l2, l6), _mm256_add_ps(l3, l7));
+      __m256 tail = _mm256_setzero_ps();
+      for (; l < k; ++l)
+        tail = mac(tail, arow[l], b + j + static_cast<std::size_t>(l) * sb);
+      _mm256_storeu_ps(
+          orow + j,
+          _mm256_add_ps(_mm256_loadu_ps(orow + j),
+                        _mm256_add_ps(_mm256_add_ps(s04, s26), tail)));
+    }
+    for (; j < n; ++j) orow[j] += dot_strided(arow, b + j, sb, k);
   }
 }
 

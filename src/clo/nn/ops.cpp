@@ -45,6 +45,14 @@ void check_same_shape(const Tensor& a, const Tensor& b, const char* op) {
   }
 }
 
+/// dst[c, r] = src[r, c] for a row-major [rows, cols] src.
+void transpose(const float* src, int rows, int cols, float* dst) {
+  for (int r = 0; r < rows; ++r)
+    for (int c = 0; c < cols; ++c)
+      dst[static_cast<std::size_t>(c) * rows + r] =
+          src[static_cast<std::size_t>(r) * cols + c];
+}
+
 void accumulate(const std::shared_ptr<TensorImpl>& p,
                 const FloatBuf& grad_piece) {
   if (!wants_grad(*p)) return;
@@ -429,37 +437,80 @@ Tensor conv1d(const Tensor& x, const Tensor& weight, const Tensor& bias) {
         if (gw) pw->ensure_grad();
         if (gb) pb->ensure_grad();
         if (!gx && !gw && !gb) return;
-        // Shift-wise accumulation mirrors the forward pass: each (ci, k)
-        // tap touches one contiguous slice, so the inner loops are
-        // branch-free and unit-stride instead of the per-element gather
-        // with bounds checks.
-        for (int b = 0; b < B; ++b) {
-          for (int co = 0; co < Co; ++co) {
-            const float* gy = self.grad.data() +
-                              (static_cast<std::size_t>(b) * Co + co) * L;
-            if (gb) pb->grad[co] += kernel::sum(gy, L);
-            if (!gx && !gw) continue;
-            for (int ci = 0; ci < Ci; ++ci) {
-              const float* xi =
-                  px->data.data() + (static_cast<std::size_t>(b) * Ci + ci) * L;
-              float* dxi = gx ? px->grad.data() +
-                                    (static_cast<std::size_t>(b) * Ci + ci) * L
-                              : nullptr;
-              for (int k = 0; k < K; ++k) {
-                const int shift = k - pad;
-                const int lo = shift < 0 ? -shift : 0;
-                const int hi = shift > 0 ? L - shift : L;
-                if (hi < lo) continue;  // the tap misses the row: K > 2L + 1
-                if (gw) {
-                  pw->grad[(co * Ci + ci) * K + k] +=
-                      kernel::dot(gy + lo, xi + lo + shift, hi - lo);
-                }
-                if (gx) {
-                  const float w = pw->data[(co * Ci + ci) * K + k];
-                  kernel::axpy(dxi + lo + shift, w, gy + lo, hi - lo);
-                }
-              }
+        // A few dense products per batch element that make, element for
+        // element, the same additions in the same order as the per-tap
+        // dot/axpy loop this replaced (pinned bit for bit against it by
+        // Autograd.Conv1dBackwardMatchesPerTapLoopBitwise):
+        //  - db[co] += sum(gy[b,co,:]) for b ascending.
+        //  - dW[co,ci,k] gets one dot() per b over tap k's valid slice
+        //    [lo, hi): one matmul_tree per (b, k) of gy's rows against the
+        //    columns of xᵀ, into a [K][Co][Ci] copy of w.grad that is
+        //    gathered before and scattered after (b ascending, as before).
+        //  - dxᵀ[b] += Gᵀ · W', where W'[(co,k), ci] = w[co,ci,k] and
+        //    Gᵀ[p, (co,k)] = gy[b, co, p - (k - pad)], zero outside the
+        //    row: each dx element is a chain over (co,k) ascending, the old
+        //    axpy order. The zero rows add w·0 = ±0, which leaves every
+        //    finite sum unchanged because a grad buffer starts at +0 and
+        //    only ever accumulates, so it never holds −0. With an Inf or
+        //    NaN weight, w·0 is NaN and can reach a dx entry that the old
+        //    loop left finite; the loss is non-finite then anyway, and the
+        //    diffusion trainer's rollback discards those gradients.
+        // Scratch is local to the call: concurrent backward passes over
+        // GradFreeze-shared weights share no mutable state.
+        const std::size_t CiL = static_cast<std::size_t>(Ci) * L;
+        const std::size_t CoL = static_cast<std::size_t>(Co) * L;
+        const int CoK = Co * K;
+        if (gb) {
+          for (int b = 0; b < B; ++b)
+            for (int co = 0; co < Co; ++co)
+              pb->grad[co] += kernel::sum(
+                  self.grad.data() + b * CoL + static_cast<std::size_t>(co) * L,
+                  L);
+        }
+        if (gw) {
+          const std::size_t CoCi = static_cast<std::size_t>(Co) * Ci;
+          std::vector<float> dw(CoCi * K);
+          std::vector<float> xt(CiL);
+          transpose(pw->grad.data(), Co * Ci, K, dw.data());
+          for (int b = 0; b < B; ++b) {
+            transpose(px->data.data() + b * CiL, Ci, L, xt.data());
+            const float* gy = self.grad.data() + b * CoL;
+            for (int k = 0; k < K; ++k) {
+              const int shift = k - pad;
+              const int lo = shift < 0 ? -shift : 0;
+              const int hi = shift > 0 ? L - shift : L;
+              if (hi < lo) continue;  // the tap misses the row: K > 2L + 1
+              kernel::matmul_tree(
+                  gy + lo, L,
+                  xt.data() + static_cast<std::size_t>(lo + shift) * Ci, Ci,
+                  dw.data() + k * CoCi, Ci, Co, hi - lo, Ci);
             }
+          }
+          transpose(dw.data(), K, Co * Ci, pw->grad.data());
+        }
+        if (gx) {
+          std::vector<float> wt(static_cast<std::size_t>(CoK) * Ci);
+          std::vector<float> gt(static_cast<std::size_t>(L) * CoK);
+          std::vector<float> dxt(CiL);
+          for (int co = 0; co < Co; ++co)
+            transpose(pw->data.data() + static_cast<std::size_t>(co) * Ci * K,
+                      Ci, K, wt.data() + static_cast<std::size_t>(co) * K * Ci);
+          for (int b = 0; b < B; ++b) {
+            const float* gy = self.grad.data() + b * CoL;
+            for (int p = 0; p < L; ++p)
+              for (int co = 0; co < Co; ++co)
+                for (int k = 0; k < K; ++k) {
+                  const int q = p - (k - pad);
+                  gt[static_cast<std::size_t>(p) * CoK + co * K + k] =
+                      q < 0 || q >= L
+                          ? 0.0f
+                          : gy[static_cast<std::size_t>(co) * L + q];
+                }
+            float* dxb = px->grad.data() + b * CiL;
+            transpose(dxb, Ci, L, dxt.data());
+            kernel::matmul(gt.data(), wt.data(), dxt.data(), L, CoK, Ci,
+                           /*transpose_b=*/false);
+            transpose(dxt.data(), L, Ci, dxb);
           }
         }
       });

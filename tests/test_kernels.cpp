@@ -479,4 +479,40 @@ TEST_F(KernelTest, MatmulTaMatchesLegacyLoopBitwiseAndDoubleReference) {
   }
 }
 
+// matmul_tree: every out element gets exactly one dot() of its A row and
+// its B column added to it. Covered: k all-tail (< 8) and with a partial
+// tail, column counts that leave the vector path's 8-wide blocks partial,
+// and row strides larger than the tile on every operand.
+TEST_F(KernelTest, MatmulTreeEqualsPerElementDotBitwise) {
+  Rng rng(17);
+  const int m = 3;
+  for (kernel::Target t : SupportedTargets()) {
+    kernel::set_target(t);
+    for (int k = 0; k <= 40; ++k) {
+      for (int n : {1, 7, 8, 9, 13, 17, 33}) {
+        const int lda = k + 3, ldb = n + 5, ldo = n + 2;
+        const auto a = random_buf(static_cast<std::size_t>(m) * lda, rng);
+        const auto b = random_buf(static_cast<std::size_t>(k) * ldb + 1, rng);
+        const auto o0 = random_buf(static_cast<std::size_t>(m) * ldo, rng);
+        AlignedFloats want = o0;
+        AlignedFloats col(static_cast<std::size_t>(k) + 1);
+        for (int i = 0; i < m; ++i) {
+          for (int j = 0; j < n; ++j) {
+            for (int l = 0; l < k; ++l)
+              col[l] = b[static_cast<std::size_t>(l) * ldb + j];
+            want[static_cast<std::size_t>(i) * ldo + j] += kernel::dot(
+                a.data() + static_cast<std::size_t>(i) * lda, col.data(), k);
+          }
+        }
+        AlignedFloats got = o0;
+        kernel::matmul_tree(a.data(), lda, b.data(), ldb, got.data(), ldo, m,
+                            k, n);
+        EXPECT_TRUE(bitwise_equal(want, got))
+            << kernel::target_name(t) << " k=" << k << " n=" << n;
+      }
+    }
+  }
+  kernel::set_target(kernel::best_supported_target());
+}
+
 }  // namespace

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <functional>
 #include <string>
+#include <vector>
 
+#include "clo/nn/kernel.hpp"
 #include "clo/nn/ops.hpp"
 #include "clo/nn/tensor.hpp"
 #include "clo/util/rng.hpp"
@@ -11,6 +16,7 @@
 namespace {
 
 using namespace clo::nn;
+namespace kernel = clo::nn::kernel;
 
 /// Numerical gradient check: builds the graph via `fn` (must return a
 /// scalar), compares autograd gradients of `input` against central
@@ -155,6 +161,129 @@ TEST(Autograd, Conv1d) {
                  [&](const Tensor& t) { return loss(x, w, t); });
     }
   }
+}
+
+/// The per-tap conv1d backward that the product form replaced: one
+/// kernel::sum per (b, co), and one kernel::dot (dW) and one kernel::axpy
+/// (dx) per (b, co, ci, k) over the tap's valid slice. Kept here as the
+/// reference that conv1d's backward must reproduce bit for bit. Null
+/// dx/dw skip that gradient, as a frozen leaf does.
+void per_tap_conv1d_backward(const float* x, const float* w, const float* gy,
+                             float* dx, float* dw, float* db, int B, int Ci,
+                             int L, int Co, int K) {
+  const int pad = K / 2;
+  for (int b = 0; b < B; ++b) {
+    for (int co = 0; co < Co; ++co) {
+      const float* g = gy + (static_cast<std::size_t>(b) * Co + co) * L;
+      db[co] += kernel::sum(g, L);
+      for (int ci = 0; ci < Ci; ++ci) {
+        const std::size_t row = (static_cast<std::size_t>(b) * Ci + ci) * L;
+        for (int k = 0; k < K; ++k) {
+          const int shift = k - pad;
+          const int lo = shift < 0 ? -shift : 0;
+          const int hi = shift > 0 ? L - shift : L;
+          if (hi < lo) continue;
+          const int wi = (co * Ci + ci) * K + k;
+          if (dw != nullptr)
+            dw[wi] += kernel::dot(g + lo, x + row + lo + shift, hi - lo);
+          if (dx != nullptr)
+            kernel::axpy(dx + row + lo + shift, w[wi], g + lo, hi - lo);
+        }
+      }
+    }
+  }
+}
+
+::testing::AssertionResult same_bits(const FloatBuf& got,
+                                     const std::vector<float>& want) {
+  if (got.size() != want.size()) {
+    return ::testing::AssertionFailure()
+           << "size " << got.size() << " vs " << want.size();
+  }
+  const auto bits = [](float v) {
+    std::uint32_t u;
+    std::memcpy(&u, &v, sizeof u);
+    return u;
+  };
+  const auto hex = [&bits](float v) {
+    char buf[16];
+    std::snprintf(buf, sizeof buf, "0x%08x", bits(v));
+    return std::string(buf);
+  };
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    if (bits(got[i]) != bits(want[i])) {
+      return ::testing::AssertionFailure()
+             << "element " << i << ": " << got[i] << " (" << hex(got[i])
+             << ") vs reference " << want[i] << " (" << hex(want[i]) << ")";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(Autograd, Conv1dBackwardMatchesPerTapLoopBitwise) {
+  // dx, dW and db after two accumulating backward passes equal the per-tap
+  // loop's bits, at every odd K up to 7 and L up to 21 (K > 2L + 1 has
+  // taps that miss the row), across channel counts that leave 8-wide
+  // vector blocks partial and full, with x frozen and with w frozen, on
+  // every dispatch target this host runs.
+  const int B = 2;
+  const int channels[][2] = {{1, 1}, {2, 3}, {5, 7}, {9, 13}, {32, 64}};
+  std::vector<kernel::Target> targets = {kernel::Target::kScalar};
+  if (kernel::target_supported(kernel::Target::kAvx2)) {
+    targets.push_back(kernel::Target::kAvx2);
+  }
+  enum class Frozen { kNone, kX, kW };
+  std::uint64_t seed = 500;
+  for (kernel::Target target : targets) {
+    kernel::set_target(target);
+    for (int K : {1, 3, 5, 7}) {
+      for (int L = 1; L <= 21; ++L) {
+        for (const auto& cc : channels) {
+          const int Ci = cc[0], Co = cc[1];
+          for (Frozen frozen : {Frozen::kNone, Frozen::kX, Frozen::kW}) {
+            SCOPED_TRACE(std::string(kernel::target_name(target)) +
+                         " K=" + std::to_string(K) + " L=" +
+                         std::to_string(L) + " Ci=" + std::to_string(Ci) +
+                         " Co=" + std::to_string(Co) + " frozen=" +
+                         std::to_string(static_cast<int>(frozen)));
+            clo::Rng rng(seed++);
+            Tensor x = Tensor::randn({B, Ci, L}, rng, 1.0f,
+                                     frozen != Frozen::kX);
+            Tensor w = Tensor::randn({Co, Ci, K}, rng, 0.5f, true);
+            Tensor bias = Tensor::randn({Co}, rng, 1.0f, true);
+            std::vector<float> dx(x.numel(), 0.0f), dw(w.numel(), 0.0f),
+                db(bias.numel(), 0.0f);
+            {
+              GradFreeze freeze(frozen == Frozen::kW ? std::vector<Tensor>{w}
+                                                     : std::vector<Tensor>{});
+              for (int pass = 0; pass < 2; ++pass) {
+                const Tensor upstream =
+                    Tensor::randn({B, Co, L}, rng, 1.0f, false);
+                backward(sum_all(mul(conv1d(x, w, bias), upstream)));
+                per_tap_conv1d_backward(
+                    x.data().data(), w.data().data(), upstream.data().data(),
+                    frozen == Frozen::kX ? nullptr : dx.data(),
+                    frozen == Frozen::kW ? nullptr : dw.data(), db.data(), B,
+                    Ci, L, Co, K);
+              }
+            }
+            if (frozen == Frozen::kX) {
+              EXPECT_TRUE(x.impl()->grad.empty());
+            } else {
+              EXPECT_TRUE(same_bits(x.impl()->grad, dx)) << "dx";
+            }
+            if (frozen == Frozen::kW) {
+              EXPECT_TRUE(w.impl()->grad.empty());
+            } else {
+              EXPECT_TRUE(same_bits(w.impl()->grad, dw)) << "dW";
+            }
+            EXPECT_TRUE(same_bits(bias.impl()->grad, db)) << "db";
+          }
+        }
+      }
+    }
+  }
+  kernel::set_target(kernel::best_supported_target());
 }
 
 TEST(Autograd, PoolingAndUpsample) {
